@@ -155,7 +155,8 @@ std::uint64_t run_differential(std::size_t n) {
   for (const Corruption kind :
        {Corruption::kFlipLowerOccupied, Corruption::kDesyncLowerCount,
         Corruption::kOrphanLedgerSlot, Corruption::kDesyncWindowJobs,
-        Corruption::kDesyncParkedCount}) {
+        Corruption::kDesyncParkedCount, Corruption::kStaleCachedReservation,
+        Corruption::kDropRunBit}) {
     for (const bool use_incremental : {false, true}) {
       SchedulerOptions copt;
       copt.overflow = OverflowPolicy::kBestEffort;

@@ -1,6 +1,8 @@
 #include "core/reservation_scheduler.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <type_traits>
 #include <unordered_map>
@@ -75,7 +77,7 @@ ReservationScheduler::ReservationScheduler(SchedulerOptions options)
       ls.interval_size = options_.levels.interval_size(level);
       ls.interval_log = options_.levels.interval_size_log(level);
       ls.min_span_log = ls.interval_log + 1;
-      RS_CHECK(ls.class_count() <= 64,
+      RS_CHECK(ls.class_count() <= kMaxClasses,
                "level table has more span classes than the class bitmask holds");
       ls.active_per_class.assign(ls.class_count(), 0);
       // One block carries all three per-interval arrays (Interval doc
@@ -159,10 +161,8 @@ ReservationScheduler::Interval* ReservationScheduler::find_interval(unsigned lev
 
 void ReservationScheduler::compute_fulfillment_into(unsigned level,
                                                     const Interval& interval,
-                                                    std::vector<FulRow>& rows) const {
+                                                    FulRow* rows) const {
   const auto& ls = levels_[level];
-  rows.clear();
-  rows.reserve(ls.class_count());
   RS_CHECK(interval.lower_count <= ls.interval_size, "lower_count overflow");
   u64 remaining = ls.interval_size - interval.lower_count;
   // Shortest-window-first greedy over the canonical reservation counts
@@ -184,15 +184,16 @@ void ReservationScheduler::compute_fulfillment_into(unsigned level,
     const u64 reservations = quotient + 1 + (idx < remainder ? 1 : 0);
     const u64 fulfilled = std::min(reservations, remaining);
     remaining -= fulfilled;
-    rows.push_back(FulRow{key, static_cast<std::uint32_t>(reservations),
-                          static_cast<std::uint32_t>(fulfilled)});
+    rows[span_log - ls.min_span_log] =
+        FulRow{key, static_cast<std::uint32_t>(reservations),
+               static_cast<std::uint32_t>(fulfilled)};
   }
 }
 
 std::vector<ReservationScheduler::FulRow> ReservationScheduler::compute_fulfillment(
     unsigned level, const Interval& interval) const {
-  std::vector<FulRow> rows;
-  compute_fulfillment_into(level, interval, rows);
+  std::vector<FulRow> rows(levels_[level].class_count());
+  compute_fulfillment_into(level, interval, rows.data());
   return rows;
 }
 
@@ -1395,13 +1396,11 @@ ReservationScheduler::fulfillment_of_interval(unsigned level, Time interval_base
   return out;
 }
 std::size_t ReservationScheduler::verify_interval_cache(unsigned level, Time base,
-                                                        const Interval& interval) const {
+                                                        const Interval& interval,
+                                                        const FulRow* cold) const {
   if (interval.ful_state == FulState::kInvalid) return 0;  // recomputed before use
-  const auto& ls = levels_[level];
-  const std::vector<FulRow> cold = compute_fulfillment(level, interval);
-  RS_CHECK(cold.size() == ls.class_count(),
-           "fulfillment cache: row count diverged from cold recomputation");
-  for (std::size_t i = 0; i < cold.size(); ++i) {
+  const unsigned classes = levels_[level].class_count();
+  for (unsigned i = 0; i < classes; ++i) {
     // The reservation column is promised exact in every non-invalid
     // state; the fulfilled column only below ful_bound once re-cascaded
     // (kValid).
@@ -1421,9 +1420,12 @@ std::size_t ReservationScheduler::verify_interval_cache(unsigned level, Time bas
 
 std::size_t ReservationScheduler::verify_fulfillment_cache() const {
   std::size_t verified = 0;
+  std::array<FulRow, kMaxClasses> cold;
   for (unsigned level = 1; level <= top_level(); ++level) {
     levels_[level].intervals.for_each([&](Time base, const Interval& interval) {
-      verified += verify_interval_cache(level, base, interval);
+      if (interval.ful_state == FulState::kInvalid) return;  // nothing cached
+      compute_fulfillment_into(level, interval, cold.data());
+      verified += verify_interval_cache(level, base, interval, cold.data());
     });
   }
   // The shadow generation's caches obey the same contract mid-migration.
@@ -1524,56 +1526,87 @@ void ReservationScheduler::check_window_ledgers() const {
 }
 
 void ReservationScheduler::audit_interval_body(unsigned level, Time base,
-                                               const Interval& interval) const {
+                                               const Interval& interval,
+                                               const FulRow* cold) const {
   const auto& ls = levels_[level];
   RS_CHECK(interval.base == base, "audit: interval base mismatch");
   RS_CHECK(interval.slots != nullptr && interval.ful_cache != nullptr &&
                interval.assigned_by_class != nullptr,
            "audit: interval not backed by an arena block");
+  const unsigned classes = ls.class_count();
   std::uint32_t lower = 0;
   std::uint32_t assigned = 0;
-  std::vector<std::uint32_t> per_class(ls.class_count(), 0);
-  for (std::size_t off = 0; off < ls.interval_size; ++off) {
-    const SlotInfo& info = interval.slots[off];
-    const Time slot = base + static_cast<Time>(off);
-    const JobId* occupant = occ_.find(slot);
-    const bool expect_lower =
-        occupant != nullptr && block_floor(jobs_.at(*occupant)) <= level;
-    RS_CHECK(info.lower_occupied == expect_lower, "audit: lower flag mismatch");
-    if (info.lower_occupied) ++lower;
-    if (info.assigned) {
-      RS_CHECK(!info.lower_occupied, "audit: assigned slot is lower-occupied");
-      const ActiveWindow* window = ls.windows.find(info.owner);
+  std::array<std::uint32_t, kMaxClasses> per_class{};
+  // Ground truth comes from the run bitmap walk: it visits only populated
+  // pages, so the hash work is O(occupants). The walk collects the
+  // lower_occupied bits it expects one 64-slot word at a time, and each
+  // word is compared with the slot table by plain memory reads; only the
+  // assigned slots pay for lookups. Every bit the walk reports must have an
+  // occupant (runs ⊆ map). The converse, an occupant whose run bit is
+  // missing, is invisible to the walk by construction; map ⊆ runs stays
+  // I1's job (audit_job_body per dirty job, check_jobs_and_occupancy in
+  // the sweep).
+  std::size_t word = 0;  // next word of the slot table to compare
+  u64 expect = 0;        // expected lower_occupied bits of `word`
+  const auto compare_word = [&] {
+    const std::size_t first = word * 64;
+    const std::size_t count = std::min<std::size_t>(64, ls.interval_size - first);
+    u64 lower_bits = 0;
+    u64 assigned_bits = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      lower_bits |= u64{interval.slots[first + i].lower_occupied} << i;
+      assigned_bits |= u64{interval.slots[first + i].assigned} << i;
+    }
+    RS_CHECK(lower_bits == expect, "audit: lower flag mismatch");
+    RS_CHECK((lower_bits & assigned_bits) == 0, "audit: assigned slot is lower-occupied");
+    lower += static_cast<std::uint32_t>(std::popcount(lower_bits));
+    for (; assigned_bits != 0; assigned_bits &= assigned_bits - 1) {
+      const std::size_t off = first + static_cast<std::size_t>(std::countr_zero(assigned_bits));
+      const WindowKey& owner = interval.slots[off].owner;
+      // per_class is a fixed array: a corrupt owner must not index past it.
+      RS_CHECK(owner.span_log >= ls.min_span_log && owner.span_log <= ls.max_span_log,
+               "audit: slot owner outside the level's span classes");
+      const ActiveWindow* window = ls.windows.find(owner);
       RS_CHECK(window != nullptr, "audit: slot owned by inactive window");
-      RS_CHECK(window->assigned_slots.contains(slot),
+      RS_CHECK(window->assigned_slots.contains(base + static_cast<Time>(off)),
                "audit: owner ledger missing slot");
       ++assigned;
-      ++per_class[ls.class_of(info.owner)];
+      ++per_class[ls.class_of(owner)];
     }
-  }
+    ++word;
+    expect = 0;
+  };
+  occ_.runs().for_each_occupied(
+      base, base + static_cast<Time>(ls.interval_size), [&](Time slot) {
+        const JobId* occupant = occ_.find(slot);
+        RS_CHECK(occupant != nullptr, "audit: run index marks a slot with no occupant");
+        const auto off = static_cast<std::size_t>(slot - base);
+        while (word < off / 64) compare_word();
+        if (block_floor(jobs_.at(*occupant)) <= level) expect |= u64{1} << (off % 64);
+      });
+  while (word * 64 < ls.interval_size) compare_word();
   RS_CHECK(lower == interval.lower_count, "audit: lower_count mismatch");
   RS_CHECK(assigned == interval.assigned_count, "audit: assigned_count mismatch");
-  for (unsigned cls = 0; cls < ls.class_count(); ++cls) {
+  for (unsigned cls = 0; cls < classes; ++cls) {
     RS_CHECK(per_class[cls] == interval.assigned_by_class[cls],
              "audit: per-class assignment count mismatch");
     RS_CHECK(((interval.assigned_class_mask >> cls) & 1) == (per_class[cls] > 0),
              "audit: assigned class mask mismatch");
-  }
-  // Lazy invariant: concrete assignments never exceed fulfillment.
-  // Checked against a cold recomputation so a stale cache cannot mask a
-  // violation.
-  const auto rows = compute_fulfillment(level, interval);
-  for (unsigned cls = 0; cls < ls.class_count(); ++cls) {
-    RS_CHECK(per_class[cls] <= rows[cls].fulfilled,
+    // Lazy invariant: concrete assignments never exceed fulfillment.
+    // Checked against the cold recomputation so a stale cache cannot mask
+    // a violation.
+    RS_CHECK(per_class[cls] <= cold[cls].fulfilled,
              "audit: assignment exceeds fulfillment");
   }
 }
 
 void ReservationScheduler::check_interval_assignment_bound() const {
   // I3 - interval slot tables and the a <= f bound (audit §3).
+  std::array<FulRow, kMaxClasses> cold;
   for (unsigned level = 1; level <= top_level(); ++level) {
     levels_[level].intervals.for_each([&](Time base, const Interval& interval) {
-      audit_interval_body(level, base, interval);
+      compute_fulfillment_into(level, interval, cold.data());
+      audit_interval_body(level, base, interval, cold.data());
     });
   }
 }
@@ -1696,8 +1729,12 @@ void ReservationScheduler::audit_window_scoped(unsigned level,
 void ReservationScheduler::audit_interval_scoped(unsigned level, Time base) const {
   const Interval* interval = levels_[level].intervals.find(base);
   if (interval == nullptr) return;  // torn down wholesale since marked
-  audit_interval_body(level, base, *interval);
-  verify_interval_cache(level, base, *interval);
+  // One cold recomputation serves both checks (I3's a <= f and I4's cache
+  // comparison).
+  std::array<FulRow, kMaxClasses> cold;
+  compute_fulfillment_into(level, *interval, cold.data());
+  audit_interval_body(level, base, *interval, cold.data());
+  verify_interval_cache(level, base, *interval, cold.data());
 }
 
 void ReservationScheduler::audit_globals_scoped() const {
@@ -1831,7 +1868,8 @@ std::size_t ReservationScheduler::audit_backlog() const {
 
 // ---- deliberate corruption (test hook; see Corruption in the header) -------
 
-bool ReservationScheduler::corrupt_for_test(Corruption kind) {
+bool ReservationScheduler::corrupt_for_test(Corruption kind,
+                                            std::optional<CorruptionSite> site) {
   switch (kind) {
     case Corruption::kDesyncParkedCount:
       // The engine-side witness is note_parked_delta-free on purpose: a
@@ -1873,23 +1911,68 @@ bool ReservationScheduler::corrupt_for_test(Corruption kind) {
         if (done) return true;
       }
       return false;
+    case Corruption::kDropRunBit: {
+      // A buggy occupy/vacate would dirty the job, so I1's per-job check is
+      // the witness; the interval walk cannot see a missing run bit.
+      std::optional<std::pair<Time, JobId>> victim;
+      if (site) {
+        if (const JobId* id = occ_.find(site->slot)) victim.emplace(site->slot, *id);
+      } else {
+        occ_.for_each([&](Time slot, JobId id) {
+          if (!victim) victim.emplace(slot, id);
+        });
+      }
+      if (!victim) return false;
+      occ_.drop_run_bit_for_test(victim->first);
+      mark_job_dirty(victim->second);
+      return true;
+    }
     case Corruption::kFlipLowerOccupied:
     case Corruption::kDesyncLowerCount:
-      for (unsigned level = 1; level <= top_level(); ++level) {
-        bool done = false;
-        levels_[level].intervals.for_each([&](Time base, Interval& interval) {
-          if (done) return;
-          if (kind == Corruption::kFlipLowerOccupied) {
-            interval.slots[0].lower_occupied = !interval.slots[0].lower_occupied;
-          } else {
-            ++interval.lower_count;
-          }
-          mark_interval_dirty(level, base);
-          done = true;
-        });
-        if (done) return true;
+    case Corruption::kStaleCachedReservation: {
+      // A stale row needs a live cache; the other interval kinds take any.
+      const auto eligible = [&](const Interval& interval) {
+        return kind != Corruption::kStaleCachedReservation ||
+               interval.ful_state != FulState::kInvalid;
+      };
+      unsigned level = 0;
+      Interval* target = nullptr;
+      if (site) {
+        level = site->level;
+        if (level >= 1 && level <= top_level()) {
+          target = find_interval(level, interval_base_of(level, site->slot));
+        }
+        if (target != nullptr && !eligible(*target)) target = nullptr;
+      } else {
+        for (unsigned l = 1; l <= top_level() && target == nullptr; ++l) {
+          levels_[l].intervals.for_each([&](Time, Interval& interval) {
+            if (target == nullptr && eligible(interval)) {
+              target = &interval;
+              level = l;
+            }
+          });
+        }
       }
-      return false;
+      if (target == nullptr) return false;
+      if (kind == Corruption::kFlipLowerOccupied) {
+        // lower_count follows the flip, as it would on a buggy occupy or
+        // vacate, so only the comparison with the live schedule can tell.
+        SlotInfo& info =
+            target->slots[site ? static_cast<std::size_t>(site->slot - target->base) : 0];
+        info.lower_occupied = !info.lower_occupied;
+        if (info.lower_occupied) {
+          ++target->lower_count;
+        } else {
+          --target->lower_count;
+        }
+      } else if (kind == Corruption::kDesyncLowerCount) {
+        ++target->lower_count;
+      } else {
+        ++target->ful_cache[0].reservations;
+      }
+      mark_interval_dirty(level, target->base);
+      return true;
+    }
   }
   return false;
 }

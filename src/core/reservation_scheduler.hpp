@@ -107,6 +107,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -256,20 +257,31 @@ class ReservationScheduler final : public IReallocScheduler {
   [[nodiscard]] std::size_t audit_backlog() const;
 
   /// Deliberate state corruptions for the corrupted-state-detection tests
-  /// (tests/failure_injection_test.cpp, bench_e15 differential mode). Each
-  /// mutates internal state the way a buggy mutation path would — including
-  /// emitting the dirty event for the touched region — so both the full
-  /// sweep and the incremental engine must flag it. Returns false when the
-  /// current state offers no suitable target (e.g. no materialized
-  /// interval yet). Test hook; never called by the scheduler itself.
+  /// (tests/failure_injection_test.cpp, tests/audit_differential_test.cpp,
+  /// bench_e15 differential mode). Each mutates internal state the way a
+  /// buggy mutation path would — including emitting the dirty event for
+  /// the touched region — so both the full sweep and the incremental engine
+  /// must flag it. Returns false when the current state offers no suitable
+  /// target (e.g. no materialized interval yet). Test hook; never called by
+  /// the scheduler itself.
   enum class Corruption : std::uint8_t {
-    kFlipLowerOccupied,  ///< flip a lower_occupied bit in a slot table
-    kDesyncLowerCount,   ///< bump an interval's lower_count
-    kOrphanLedgerSlot,   ///< window ledger slot with no interval backing
-    kDesyncWindowJobs,   ///< bump an ActiveWindow::jobs count
-    kDesyncParkedCount,  ///< bump parked_count_
+    kFlipLowerOccupied,       ///< flip a lower_occupied bit (lower_count follows)
+    kDesyncLowerCount,        ///< bump an interval's lower_count
+    kOrphanLedgerSlot,        ///< window ledger slot with no interval backing
+    kDesyncWindowJobs,        ///< bump an ActiveWindow::jobs count
+    kDesyncParkedCount,       ///< bump parked_count_
+    kStaleCachedReservation,  ///< bump a row of a live cached fulfillment table
+    kDropRunBit,              ///< clear the run bit under a live job (dirties the job)
   };
-  bool corrupt_for_test(Corruption kind);
+  /// Where a site-specific kind strikes: the interval of `level` holding
+  /// `slot` (the interval kinds; kFlipLowerOccupied flips `slot` itself), or
+  /// the job on `slot` (kDropRunBit; `level` unused). Without a site each
+  /// kind takes the first suitable target (slot 0 of the interval).
+  struct CorruptionSite {
+    unsigned level = 0;
+    Time slot = 0;
+  };
+  bool corrupt_for_test(Corruption kind, std::optional<CorruptionSite> site = {});
 
   /// Cache-consistency check: recomputes every *currently valid* cached
   /// fulfillment table cold and verifies it matches the cache entry-by-entry
@@ -288,6 +300,9 @@ class ReservationScheduler final : public IReallocScheduler {
   friend struct durability::SchedulerPersist;
 
   static constexpr Time kNoSlot = std::numeric_limits<Time>::min();
+  /// Span classes per level are capped here (checked at construction) so a
+  /// u64 bitmask and fixed stack arrays cover every class.
+  static constexpr unsigned kMaxClasses = 64;
 
   struct JobState {
     Window original;  // aligned window as submitted
@@ -441,11 +456,13 @@ class ReservationScheduler final : public IReallocScheduler {
   static void carve_interval_block(LevelState& ls, Interval& interval);
   Interval& get_or_create_interval(unsigned level, Time base);
   [[nodiscard]] Interval* find_interval(unsigned level, Time base);
-  /// Recomputation straight off the ledgers into `out`, reusing its
-  /// capacity (seed behavior when cold; also the reference the cache is
-  /// validated against).
+  /// Recomputation straight off the ledgers into `out`, which must hold
+  /// class_count rows (seed behavior when cold; also the reference the
+  /// cache is validated against). Probes every class's window, active
+  /// census or not: the audit's cold reference must not trust the census
+  /// it exists to witness.
   void compute_fulfillment_into(unsigned level, const Interval& interval,
-                                std::vector<FulRow>& out) const;
+                                FulRow* out) const;
   [[nodiscard]] std::vector<FulRow> compute_fulfillment(unsigned level,
                                                         const Interval& interval) const;
   /// Cache-aware access: returns the interval's cached table (class_count
@@ -567,13 +584,15 @@ class ReservationScheduler final : public IReallocScheduler {
   void audit_window_scoped(unsigned level, const WindowKey& w) const;
   void audit_interval_scoped(unsigned level, Time base) const;
   void audit_globals_scoped() const;
-  /// Per-interval body of full-sweep §3: ground-truth slot scan, counter
-  /// agreement, a ≤ f against a cold recomputation.
-  void audit_interval_body(unsigned level, Time base, const Interval& interval) const;
-  /// Per-interval body of full-sweep §4: the cached fulfillment table vs a
-  /// cold recomputation. Returns 1 when a (non-invalid) cache was verified.
-  std::size_t verify_interval_cache(unsigned level, Time base,
-                                    const Interval& interval) const;
+  /// Per-interval body of full-sweep §3: slot table vs the occupants the
+  /// run bitmap walk finds, counter agreement, a ≤ f against `cold` (the
+  /// interval's compute_fulfillment_into rows).
+  void audit_interval_body(unsigned level, Time base, const Interval& interval,
+                           const FulRow* cold) const;
+  /// Per-interval body of full-sweep §4: the cached fulfillment table vs
+  /// `cold`. Returns 1 when a (non-invalid) cache was verified.
+  std::size_t verify_interval_cache(unsigned level, Time base, const Interval& interval,
+                                    const FulRow* cold) const;
   /// Per-job body of full-sweep §1 (placement, occupancy and run-index
   /// agreement, own-level ledger membership). Returns true iff parked.
   bool audit_job_body(const JobId& id, const JobState& job) const;

@@ -75,6 +75,10 @@ class OccupancyIndex {
     slots_.for_each([&](Time t, const JobId& id) { f(t, id); });
   }
 
+  /// Test hook: clears t's run bit but keeps its occupant — the map ⊄ runs
+  /// drift that range scans cannot see (ReservationScheduler::corrupt_for_test).
+  void drop_run_bit_for_test(Time t) { runs_.release(t); }
+
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] const SlotRuns& runs() const noexcept { return runs_; }
 

@@ -7,7 +7,9 @@
 // corruption (acceptance criterion of ISSUE 4).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/reservation_scheduler.hpp"
@@ -115,9 +117,10 @@ std::unique_ptr<ReservationScheduler> corruptible_scheduler(bool parked_state) {
 
 TEST(AuditDifferential, CorruptionsRejectedByBothAuditors) {
   const Corruption kinds[] = {
-      Corruption::kFlipLowerOccupied, Corruption::kDesyncLowerCount,
-      Corruption::kOrphanLedgerSlot, Corruption::kDesyncWindowJobs,
-      Corruption::kDesyncParkedCount,
+      Corruption::kFlipLowerOccupied,       Corruption::kDesyncLowerCount,
+      Corruption::kOrphanLedgerSlot,        Corruption::kDesyncWindowJobs,
+      Corruption::kDesyncParkedCount,       Corruption::kStaleCachedReservation,
+      Corruption::kDropRunBit,
   };
   for (const Corruption kind : kinds) {
     // Two independent instances: one judged by the full sweep, one by the
@@ -132,6 +135,91 @@ TEST(AuditDifferential, CorruptionsRejectedByBothAuditors) {
       EXPECT_EQ(verdict, Verdict::kReject)
           << (use_incremental ? "incremental" : "full")
           << " auditor accepted corruption kind " << static_cast<int>(kind);
+    }
+  }
+}
+
+// Offsets of the level-2 interval at base 0 (interval_size 256) that
+// straddle the run bitmap's 64-slot pages: both ends of the interval and
+// both sides of the first page boundary.
+constexpr Time kProbeOffsets[] = {0, 63, 64, 255};
+
+/// A scheduler with a materialized level-2 interval at base 0. Unit
+/// (level-0) jobs pinned at kProbeOffsets make those slots lower-occupied
+/// at level 2 and keep the level-2 jobs off them; with `keep_probes` false
+/// the unit jobs are erased again, leaving those slots free.
+std::unique_ptr<ReservationScheduler> level2_scheduler(bool keep_probes) {
+  SchedulerOptions options;
+  options.overflow = OverflowPolicy::kBestEffort;
+  options.trimming = false;
+  audit::AuditPolicy policy;
+  policy.mode = audit::Mode::kIncremental;
+  policy.cadence = 0;
+  options.audit_policy = policy;
+  auto scheduler = std::make_unique<ReservationScheduler>(options);
+  std::uint64_t next = 1;
+  for (const Time off : kProbeOffsets) scheduler->insert(JobId{next++}, Window{off, off + 1});
+  for (int i = 0; i < 8; ++i) scheduler->insert(JobId{next++}, Window{0, 1024});
+  if (!keep_probes) {
+    for (std::uint64_t id = 1; id <= std::size(kProbeOffsets); ++id) {
+      scheduler->erase(JobId{id});
+    }
+  }
+  scheduler->incremental_audit();  // seed + verify the starting state
+  return scheduler;
+}
+
+bool slot_occupied(const ReservationScheduler& scheduler, Time slot) {
+  const Schedule schedule = scheduler.snapshot();
+  for (const auto& [job, placement] : schedule.assignments()) {
+    if (placement.slot == slot) return true;
+  }
+  return false;
+}
+
+TEST(AuditDifferential, LowerFlagFlipsAcrossRunPagesRejectedByBothAuditors) {
+  // The interval check builds its expectation from the run bitmap walk: a
+  // flip must be caught on an occupied slot (one the walk reports) and on a
+  // free one (one it skips), at either end of the interval and on both
+  // sides of a page boundary.
+  for (const bool occupied : {true, false}) {
+    for (const Time off : kProbeOffsets) {
+      for (const bool use_incremental : {false, true}) {
+        auto scheduler = level2_scheduler(/*keep_probes=*/occupied);
+        ASSERT_EQ(slot_occupied(*scheduler, off), occupied) << "offset " << off;
+        ASSERT_TRUE(scheduler->corrupt_for_test(Corruption::kFlipLowerOccupied,
+                                                ReservationScheduler::CorruptionSite{2, off}))
+            << "no level-2 interval at offset " << off;
+        const Verdict verdict = use_incremental ? incremental_verdict(*scheduler)
+                                                : full_verdict(*scheduler);
+        EXPECT_EQ(verdict, Verdict::kReject)
+            << (use_incremental ? "incremental" : "full") << " auditor accepted a flip at "
+            << (occupied ? "occupied" : "free") << " offset " << off;
+      }
+    }
+  }
+}
+
+TEST(AuditDifferential, DroppedRunBitIsCaughtByTheJobCheck) {
+  // The run bitmap walk cannot see an occupant whose run bit is gone, so
+  // map ⊆ runs is I1's predicate. The corruption dirties only the job, and
+  // both auditors must reject it with I1's message.
+  for (const bool use_incremental : {false, true}) {
+    auto scheduler = level2_scheduler(/*keep_probes=*/true);
+    ASSERT_TRUE(scheduler->corrupt_for_test(Corruption::kDropRunBit,
+                                            ReservationScheduler::CorruptionSite{0, 63}));
+    try {
+      if (use_incremental) {
+        scheduler->incremental_audit();
+      } else {
+        scheduler->audit();
+      }
+      ADD_FAILURE() << (use_incremental ? "incremental" : "full")
+                    << " auditor accepted a dropped run bit";
+    } catch (const InternalError& error) {
+      EXPECT_NE(std::string(error.what()).find("run index missing an occupied slot"),
+                std::string::npos)
+          << error.what();
     }
   }
 }

@@ -100,7 +100,9 @@ TEST(ReservationLedger, Lemma8SurplusHolds) {
     s.insert(JobId{x}, w);
     std::uint64_t fulfilled = 0;
     for (Time base = 0; base < 256; base += 32) {
-      const auto* row = row_for(s.fulfillment_of_interval(1, base), w);
+      // Keep the table alive: row_for returns a pointer into it.
+      const auto entries = s.fulfillment_of_interval(1, base);
+      const auto* row = row_for(entries, w);
       ASSERT_NE(row, nullptr);
       fulfilled += row->fulfilled;
     }
