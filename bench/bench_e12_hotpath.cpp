@@ -96,7 +96,7 @@ ModeResult run_mode(const std::vector<Request>& trace, std::size_t warmup,
     const SegmentResult segment = timed_segment(churn);
     if (segment.ops_per_sec > result.churn.ops_per_sec) result.churn = segment;
   }
-  scheduler.set_audit(true);
+  scheduler.set_audit_policy({.mode = audit::Mode::kFull, .cadence = 1});
   result.audited = timed_segment(audit_churn);
   return result;
 }

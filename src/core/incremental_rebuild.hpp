@@ -98,7 +98,7 @@ class IncrementalRebuildScheduler final : public IReallocScheduler {
   /// Paper pace (2/request), scaled up only when the backlog would not
   /// drain before the earliest possible next trigger.
   [[nodiscard]] std::size_t migration_pace() const noexcept;
-  /// Runs whichever audits the runtime gates request after a request.
+  /// Runs whichever audit the policy requests after a request.
   void maybe_audit();
   /// Adapter-level coherence: generation job counts, pending/backlog
   /// agreement, work-cursor bounds, merged-snapshot parity (O(n)).

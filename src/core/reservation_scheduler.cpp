@@ -9,6 +9,7 @@
 
 #include "telemetry/registry.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 #include "feasibility/edf.hpp"
 
@@ -1127,7 +1128,6 @@ void ReservationScheduler::begin_partitioned_rebuild(u64 new_n_star) {
   migration->reinsert = sorted_active_set();
 
   SchedulerOptions shadow_options = options_;
-  shadow_options.audit = false;      // audited via the parent's audit()
   // The shadow keeps the parent's engine mode (its mutations must be
   // tracked so the dirty sets can follow the data across the swap) but
   // never audits autonomously — the parent's audit drives it (cadence 0).
@@ -1830,7 +1830,6 @@ void ReservationScheduler::incremental_audit() {
 
 void ReservationScheduler::maybe_audit() {
   ++audit_request_index_;
-  if (options_.audit) audit();  // legacy gate: full sweep every request
   const audit::AuditPolicy& policy = options_.audit_policy;
   if (!policy.due(audit_request_index_)) return;
   if (policy.mode == audit::Mode::kFull) {
@@ -1975,6 +1974,22 @@ bool ReservationScheduler::corrupt_for_test(Corruption kind,
     }
   }
   return false;
+}
+
+void ReservationScheduler::scramble_layout_for_test(std::uint64_t seed) {
+  Rng rng(seed);
+  const bool leave_migrating = (seed & 1) != 0;
+  jobs_.scramble_layout_for_test(rng, leave_migrating);
+  occ_.scramble_layout_for_test(rng, leave_migrating);
+  for (auto& ls : levels_) {
+    ls.intervals.scramble_layout_for_test(rng, leave_migrating);
+    ls.windows.scramble_layout_for_test(rng, leave_migrating);
+    ls.windows.for_each([&](const WindowKey&, ActiveWindow& window) {
+      window.assigned_slots.scramble_layout_for_test(rng, leave_migrating);
+      window.free_assigned.scramble_layout_for_test(rng, leave_migrating);
+    });
+  }
+  if (migration_ != nullptr) migration_->shadow->scramble_layout_for_test(rng());
 }
 
 }  // namespace reasched

@@ -202,13 +202,9 @@ class ReservationScheduler final : public IReallocScheduler {
   };
   [[nodiscard]] ArenaStats arena_stats(unsigned level) const;
 
-  /// Toggles the per-request audit at runtime. Benches replay a warmup
-  /// prefix audit-free, then audit only the measured segment.
-  void set_audit(bool enabled) noexcept { options_.audit = enabled; }
-
   /// Full internal-invariant audit; throws InternalError on any violation.
-  /// O(total state); runs automatically after each request when
-  /// options.audit is set. Mid-migration it audits both generations plus
+  /// O(total state); runs automatically at the cadence of an
+  /// audit_policy in mode kFull. Mid-migration it audits both generations plus
   /// the migration bookkeeping itself. Equivalent to running every check
   /// registered by register_invariants — the five named units below ARE
   /// this sweep, decomposed.
@@ -236,8 +232,8 @@ class ReservationScheduler final : public IReallocScheduler {
 
   /// Observable audit work since construction (full sweeps + engine
   /// counters, including an in-flight migration shadow's). The benches'
-  /// audit-off smoke asserts every field stays zero when both runtime audit
-  /// gates are off.
+  /// audit-off smoke asserts every field stays zero when the audit policy
+  /// is off.
   struct AuditWork {
     std::uint64_t full_sweeps = 0;
     std::uint64_t incremental_audits = 0;
@@ -290,6 +286,17 @@ class ReservationScheduler final : public IReallocScheduler {
   /// flight. Test hook for the stale-cache regression suite; also part of
   /// audit().
   std::size_t verify_fulfillment_cache() const;
+
+  /// Layout-independence test hook: rebuilds every hash table of the
+  /// scheduler — the job table, the occupancy index, each level's interval
+  /// and window maps, and each window ledger's key → index map — with the
+  /// same contents but a capacity and insertion order drawn from `seed`.
+  /// Odd seeds also leave each incremental-mode table mid-way through a
+  /// two-table migration. Dense (insertion) orders are state and stay
+  /// untouched. An in-flight rebuild's shadow generation is scrambled too.
+  /// No schedule, stat or snapshot byte may change as a result
+  /// (tests/durability_test.cpp). Never called by the scheduler itself.
+  void scramble_layout_for_test(std::uint64_t seed);
 
  private:
   /// Deep logical-state serialization for snapshots (DESIGN.md §9):
@@ -571,7 +578,7 @@ class ReservationScheduler final : public IReallocScheduler {
   void count_move(const JobState& job) noexcept;
 
   // -- incremental audit (src/audit/; DESIGN.md §7) --
-  /// Runs whichever audits the two runtime gates request after a request.
+  /// Runs whichever audit the policy requests after a request.
   void maybe_audit();
   /// Creates/destroys the engine to match options_.audit_policy.
   void sync_audit_engine();

@@ -1,7 +1,6 @@
 // Byte-buffer codec for the durability tier (DESIGN.md §9): the Sink /
-// Source pair every serialize/deserialize hook in the repository writes
-// through (flat-hash tables, the occupancy index, scheduler snapshots, WAL
-// record payloads).
+// Source pair that scheduler snapshots and WAL record payloads are written
+// and read through.
 //
 // Fixed-width little-endian integers, no varints: the frames are CRC32C-
 // checksummed and compressed-size is not a design goal, while a fixed

@@ -1,18 +1,41 @@
-// Deep logical-state serialization of a ReservationScheduler — the payload
-// of every snapshot file (DESIGN.md §9).
+// Logical-state serialization of a ReservationScheduler — the payload of
+// every snapshot file (DESIGN.md §9).
 //
-// What is saved is the scheduler's *behavior-relevant* state, exactly:
-// the job table, the occupancy map, every level's interval slot tables and
-// window ledgers (insertion order of the per-window dense sets included —
-// that order feeds acquire_slot's pick), the active-window census, and the
-// scalar counters (n*, parked count, audit cadence position). Flat-hash
-// tables round-trip with their exact ctrl layout (util/flat_hash.hpp), so
-// a recovered scheduler is bit-compatible in probe behavior too.
+// What is saved is the scheduler's *ledgers*, in a canonical order that no
+// hash-table layout can influence: the same logical state always yields
+// the same bytes. Format v2 (fixed-width little-endian, durability/codec.hpp):
+//
+//   header   magic u64 | version u32 | options fingerprint u64 | n* u64 |
+//            parked count u64 | audit cadence position u64
+//   jobs     count u64, then per job in JobId order:
+//            id u64 | original window | trimmed window | level u32 |
+//            slot i64 | parked u8                      (window = 2 × i64)
+//   levels   count u64, then per level:
+//            intervals  count u64, then per interval in base order:
+//                       base i64 | assigned u32, then per assigned slot in
+//                       offset order: offset u32 | owner WindowKey
+//            windows    count u64, then per window in WindowKey order:
+//                       key | jobs u64 | claim cursor u64 |
+//                       assigned_slots (count u64 | i64 each) |
+//                       free_assigned  (count u64 | i64 each)
+//            census     count u64 | u32 each | active bound u32
+//   (WindowKey = start i64 | span_log u8)
+//
+// The two per-window slot sets are written in their dense (insertion)
+// order, because that order is state: acquire_slot's pick reads it.
 //
 // What is deliberately NOT saved, because it is recomputable or inert:
+//   * the occupancy index — rebuilt from each job's slot;
+//   * each interval's lower-occupied flags and its assignment counters
+//     (lower_count, assigned_count, per-class counts and mask) — derived
+//     from the jobs and the assigned slots, exactly what the audit checks
+//     them against;
 //   * fulfillment caches — a pure function of the ledgers (Observation 7);
 //     every interval reloads as kInvalid and recomputes on first touch;
-//   * the occupancy run index — rebuilt from the occupant map;
+//   * hash-table layout (capacities, probe positions, in-flight
+//     migrations) — the loader inserts into the target's own tables, and
+//     no decision depends on layout (the scramble differential in
+//     tests/durability_test.cpp proves it);
 //   * retired generations awaiting deferred trimming — memory bookkeeping
 //     with no schedule effect;
 //   * the audit engine's shadows — the loader escalates via mark_all(), so
@@ -41,9 +64,11 @@ struct SchedulerPersist {
 
   /// Rebuilds the serialized state into `s`, which must be freshly
   /// constructed with the same SchedulerOptions the saved instance ran
-  /// under (verified via fingerprint; mismatch throws CorruptInput, as
-  /// does any malformed input). On success the attached audit engine (if
-  /// any) is escalated with mark_all().
+  /// under (verified via fingerprint). Any malformed input — a count the
+  /// payload cannot hold, unsorted or duplicate keys, an out-of-range slot
+  /// or span — throws CorruptInput before it can size an allocation or
+  /// index an array. On success the attached audit engine (if any) is
+  /// escalated with mark_all().
   static void load(ReservationScheduler& s, ByteSource& source);
 
   /// Fingerprint of the options fields that shape serialized state and

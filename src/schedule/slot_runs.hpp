@@ -47,6 +47,14 @@ class SlotRuns {
     summary_.set_legacy_rehash(legacy);
   }
 
+  /// Test hook: re-lays out the page and summary maps
+  /// (FlatHashMap::scramble_layout_for_test); the occupied set is unchanged.
+  template <class Rng>
+  void scramble_layout_for_test(Rng& rng, bool leave_migrating) {
+    pages_.scramble_layout_for_test(rng, leave_migrating);
+    summary_.scramble_layout_for_test(rng, leave_migrating);
+  }
+
   /// Marks slot t occupied. Precondition: currently free.
   void occupy(Time t) {
     u64& bits = pages_[page_of(t)];

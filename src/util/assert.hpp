@@ -19,8 +19,7 @@
 //   RS_REQUIRE / RS_CHECK  none (always on)    none (always on)
 //   RS_ASSERT              REASCHED_AUDIT      none - zero cost when the
 //                          (tests define it)   macro compiles out
-//   full sweep audit()     none (always built) SchedulerOptions::audit
-//                                              (every request), an
+//   full sweep audit()     none (always built) SchedulerOptions::
 //                                              audit_policy{kFull,cadence},
 //                                              or an explicit call
 //   incremental audit      none (always built) SchedulerOptions::audit_policy
@@ -37,9 +36,9 @@
 // Consequences worth spelling out:
 //   * A release build WITHOUT REASCHED_AUDIT still audits fully when asked
 //     at runtime - the audit code is ordinary code, not RS_ASSERT bodies.
-//   * A test build WITH REASCHED_AUDIT but both runtime gates off runs
+//   * A test build WITH REASCHED_AUDIT but the runtime gate off runs
 //     only RS_CHECK plus the inline RS_ASSERT micro-asserts; no sweeps.
-//   * "Audit off" (options.audit == false, audit_policy.mode == kOff)
+//   * "Audit off" (audit_policy.mode == kOff)
 //     must mean ZERO audit work - no engine is allocated, no mutation
 //     events fire (one null-pointer branch), no sweep ever runs. The
 //     bench smoke asserts ReservationScheduler::audit_work().zero() stays

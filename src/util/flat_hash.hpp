@@ -240,7 +240,6 @@ class FlatHashMap {
     if (legacy && migrating()) finish_migration();
     incremental_ = !legacy;
   }
-  [[nodiscard]] bool legacy_rehash() const noexcept { return !incremental_; }
 
   /// True while a two-table migration is in flight (a retiring table still
   /// holds entries to move).
@@ -544,85 +543,37 @@ class FlatHashMap {
     return false;
   }
 
-  // ---- serialization (durability tier, DESIGN.md §9) ----
-  //
-  // The on-disk form is the table's exact layout: each table's capacity and
-  // full ctrl array (kEmpty/kFull/kTombstone bytes) plus the live slots in
-  // index order — a mid-flight incremental migration round-trips with both
-  // its tables, cursor included. Reconstructing ctrl verbatim (tombstones
-  // too) makes the deserialized table *bit-identical* in probe behavior and
-  // iteration order to the original, so recovered schedulers cannot diverge
-  // from their uninterrupted twin even through layout-sensitive code.
-  // Key/value encoding stays with the caller: `write(sink, key, value)` /
-  // `read(source, key&, value&)`. Sink needs u64(v)/byte_block(p, n);
-  // Source needs u64()/byte_block(p, n) (see durability/codec.hpp).
-
-  template <class Sink, class WriteSlot>
-  void serialize(Sink& sink, WriteSlot&& write) const {
-    serialize_table(sink, ctrl_, slots_, write);
-    serialize_table(sink, old_ctrl_, old_slots_, write);
-    sink.u64(migrate_pos_);
-    sink.u64(incremental_ ? 1 : 0);
-  }
-
-  /// Rebuilds the exact serialized state into *this (any prior contents are
-  /// discarded). Throws whatever Source throws on truncated/corrupt input;
-  /// ctrl bytes are validated so corrupt input cannot fabricate slots.
-  template <class Source, class ReadSlot>
-  void deserialize(Source& source, ReadSlot&& read) {
+  /// Test hook for the layout-independence differentials: rebuilds the
+  /// table with the same entries and rehash mode but a layout drawn from
+  /// `rng` — entries re-inserted in shuffled order into a table of 1–8× the
+  /// smallest capacity that holds them and, when `leave_migrating` is set
+  /// in incremental mode, retired mid-way through a two-table migration
+  /// (whatever the table size). Nothing in the scheduler may behave
+  /// differently afterwards (tests/durability_test.cpp). Rng is any source
+  /// with uniform(lo, hi).
+  template <class Rng>
+  void scramble_layout_for_test(Rng& rng, bool leave_migrating) {
+    std::vector<Slot> entries;
+    entries.reserve(size_);
+    for_each([&](const K& key, V& value) { entries.push_back(Slot{key, std::move(value)}); });
+    for (std::size_t i = entries.size(); i > 1; --i) {
+      std::swap(entries[i - 1], entries[rng.uniform(0, i - 1)]);
+    }
+    std::size_t capacity = 16;
+    while (capacity * 3 < entries.size() * 4) capacity *= 2;
+    capacity <<= rng.uniform(0, 3);
     FlatHashMap fresh;
-    fresh.size_ = 0;
-    fresh.used_ = deserialize_table(source, fresh.ctrl_, fresh.slots_, read,
-                                    fresh.size_);
-    std::size_t old_used = 0;  // retiring tables track no tombstone budget
-    fresh.old_live_ = 0;
-    old_used = deserialize_table(source, fresh.old_ctrl_, fresh.old_slots_, read,
-                                 fresh.old_live_);
-    static_cast<void>(old_used);
-    fresh.size_ += fresh.old_live_;
-    fresh.migrate_pos_ = static_cast<std::size_t>(source.u64());
-    fresh.incremental_ = source.u64() != 0;
-    fresh.migrating_ = !fresh.old_ctrl_.empty();
+    fresh.incremental_ = incremental_;
+    fresh.rehash(capacity);
+    for (Slot& entry : entries) *fresh.try_emplace(entry.key).first = std::move(entry.value);
+    if (leave_migrating && incremental_ && !entries.empty()) {
+      fresh.start_migration(capacity << rng.uniform(0, 1));
+      fresh.migrate_step(rng.uniform(0, capacity - 1));
+    }
     *this = std::move(fresh);
   }
 
  private:
-  template <class Sink, class WriteSlot>
-  static void serialize_table(Sink& sink, const std::vector<std::uint8_t>& ctrl,
-                              const SlotArray& slots, WriteSlot& write) {
-    sink.u64(ctrl.size());
-    if (ctrl.empty()) return;
-    sink.byte_block(ctrl.data(), ctrl.size());
-    for (std::size_t i = 0; i < ctrl.size(); ++i) {
-      if (ctrl[i] == kFull) write(sink, slots[i].key, slots[i].value);
-    }
-  }
-
-  /// Returns used (kFull + kTombstone); live count accumulates into `live`.
-  template <class Source, class ReadSlot>
-  static std::size_t deserialize_table(Source& source,
-                                       std::vector<std::uint8_t>& ctrl,
-                                       SlotArray& slots, ReadSlot& read,
-                                       std::size_t& live) {
-    const std::uint64_t capacity = source.u64();
-    RS_CHECK(capacity == 0 || ((capacity & (capacity - 1)) == 0),
-             "FlatHashMap::deserialize: capacity must be a power of two");
-    ctrl.assign(static_cast<std::size_t>(capacity), kEmpty);
-    if (capacity == 0) return 0;
-    source.byte_block(ctrl.data(), ctrl.size());
-    slots.allocate(ctrl.size());
-    std::size_t used = 0;
-    for (std::size_t i = 0; i < ctrl.size(); ++i) {
-      RS_CHECK(ctrl[i] <= kTombstone, "FlatHashMap::deserialize: bad ctrl byte");
-      if (ctrl[i] != kEmpty) ++used;
-      if (ctrl[i] != kFull) continue;
-      construct_slot(slots, i, K{});
-      read(source, slots[i].key, slots[i].value);
-      ++live;
-    }
-    return used;
-  }
-
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
   [[nodiscard]] bool migrating() const noexcept { return migrating_; }
@@ -638,8 +589,9 @@ class FlatHashMap {
   // table the first (partial) group's bytes are re-examined as part of the
   // final full group; that re-examination is benign — any hit or
   // terminating empty among them would have ended the scan a lap earlier.
-  // Tables smaller than one group (possible only through deserialization;
-  // every grow path starts at 16 slots) take the byte-by-byte path.
+  // Every table is at least one group wide: each allocation path (growth,
+  // reserve, migration) starts at 16 slots, and callers never probe an
+  // unallocated table.
 
   [[nodiscard]] static std::size_t group_find(const std::vector<std::uint8_t>& ctrl,
                                               const SlotArray& slots,
@@ -647,15 +599,7 @@ class FlatHashMap {
                                               const K& key) noexcept {
     const std::size_t cap = ctrl.size();
     const std::size_t mask = cap - 1;
-    if (cap < probe::kGroupWidth) [[unlikely]] {
-      if (cap == 0) return kNpos;
-      std::size_t idx = hash & mask;
-      while (ctrl[idx] != kEmpty) {
-        if (ctrl[idx] == kFull && slots[idx].key == key) return idx;
-        idx = (idx + 1) & mask;
-      }
-      return kNpos;
-    }
+    RS_ASSERT(cap >= probe::kGroupWidth, "FlatHashMap: probe of a sub-group table");
     const std::size_t start = hash & mask;
     std::size_t group = start & ~(probe::kGroupWidth - 1);
     probe::mask_t valid =
@@ -687,16 +631,7 @@ class FlatHashMap {
     const std::size_t cap = ctrl.size();
     const std::size_t mask = cap - 1;
     std::size_t first_tombstone = kNpos;
-    if (cap < probe::kGroupWidth) [[unlikely]] {
-      std::size_t idx = hash & mask;
-      while (ctrl[idx] != kEmpty) {
-        if (ctrl[idx] == kFull && slots[idx].key == key) return idx;
-        if (ctrl[idx] == kTombstone && first_tombstone == kNpos)
-          first_tombstone = idx;
-        idx = (idx + 1) & mask;
-      }
-      return first_tombstone != kNpos ? first_tombstone : idx;
-    }
+    RS_ASSERT(cap >= probe::kGroupWidth, "FlatHashMap: probe of a sub-group table");
     const std::size_t start = hash & mask;
     std::size_t group = start & ~(probe::kGroupWidth - 1);
     probe::mask_t valid =
@@ -733,15 +668,7 @@ class FlatHashMap {
     const std::size_t cap = ctrl_.size();
     const std::size_t mask = cap - 1;
     std::size_t first_tombstone = kNpos;
-    if (cap < probe::kGroupWidth) [[unlikely]] {
-      std::size_t idx = hash & mask;
-      while (ctrl_[idx] != kEmpty) {
-        if (ctrl_[idx] == kTombstone && first_tombstone == kNpos)
-          first_tombstone = idx;
-        idx = (idx + 1) & mask;
-      }
-      return first_tombstone != kNpos ? first_tombstone : idx;
-    }
+    RS_ASSERT(cap >= probe::kGroupWidth, "FlatHashMap: probe of a sub-group table");
     const std::size_t start = hash & mask;
     std::size_t group = start & ~(probe::kGroupWidth - 1);
     probe::mask_t valid =
@@ -908,7 +835,7 @@ class FlatHashMap {
   bool incremental_ = true;
   /// Cached !old_ctrl_.empty(): the fast paths branch on one byte instead
   /// of recomputing vector emptiness per call (maintained by
-  /// start_migration / release_old_table / swap / deserialize).
+  /// start_migration / release_old_table / swap).
   bool migrating_ = false;
 };
 
@@ -924,7 +851,6 @@ class FlatHashSet {
   void reserve(std::size_t count) { map_.reserve(count); }
 
   void set_legacy_rehash(bool legacy) { map_.set_legacy_rehash(legacy); }
-  [[nodiscard]] bool legacy_rehash() const noexcept { return map_.legacy_rehash(); }
   [[nodiscard]] bool rehash_in_flight() const noexcept { return map_.rehash_in_flight(); }
   [[nodiscard]] std::size_t migration_pending() const noexcept {
     return map_.migration_pending();
@@ -947,32 +873,6 @@ class FlatHashSet {
   template <class F>
   bool for_each_until(F&& f) const {
     return map_.for_each_until([&](const K& key, const Empty&) { return f(key); });
-  }
-
-  /// Exact-layout round-trip, like FlatHashMap::serialize; `write(sink,
-  /// key)` / `read(source, key&)` encode the elements.
-  template <class Sink, class WriteKey>
-  void serialize(Sink& sink, WriteKey&& write) const {
-    map_.serialize(sink, [&](Sink& s, const K& key, const Empty&) { write(s, key); });
-  }
-  template <class Source, class ReadKey>
-  void deserialize(Source& source, ReadKey&& read) {
-    map_.deserialize(source, [&](Source& s, K& key, Empty&) { read(s, key); });
-  }
-
-  /// Some element (unspecified which); the set must be non-empty. The pick
-  /// depends on table layout — a caller whose *behavior* feeds off the
-  /// choice must use an insertion-ordered DenseHashSet (back(), or a
-  /// deterministic scan) instead, as acquire_slot and the balance ledger
-  /// do (see the iteration-order note above).
-  [[nodiscard]] K any() const {
-    RS_CHECK(!map_.empty(), "FlatHashSet::any: empty set");
-    K out{};
-    map_.for_each_until([&](const K& key, const Empty&) {
-      out = key;
-      return true;
-    });
-    return out;
   }
 
  private:
@@ -1043,32 +943,12 @@ class DenseHashSet {
     return dense_.back();
   }
 
-  /// Serializes the dense vector — the container's entire behavior-visible
-  /// state. Iteration order (and therefore every back()/first-satisfying-P
-  /// pick a recovered scheduler will make) round-trips exactly; the key →
-  /// index map is rebuilt by re-insertion on load, since its layout feeds
-  /// no decision (class comment). `write(sink, key)` encodes one element.
-  template <class Sink, class WriteKey>
-  void serialize(Sink& sink, WriteKey&& write) const {
-    sink.u64(dense_.size());
-    for (const K& key : dense_) write(sink, key);
-  }
-  template <class Source, class ReadKey>
-  void deserialize(Source& source, ReadKey&& read) {
-    const bool legacy = index_.legacy_rehash();
-    clear();
-    index_.set_legacy_rehash(legacy);
-    const std::uint64_t count = source.u64();
-    dense_.reserve(static_cast<std::size_t>(count));
-    index_.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      K key{};
-      read(source, key);
-      const auto [slot, inserted] = index_.try_emplace(key);
-      RS_CHECK(inserted, "DenseHashSet::deserialize: duplicate key");
-      *slot = static_cast<std::uint32_t>(dense_.size());
-      dense_.push_back(key);
-    }
+  /// Test hook: re-lays out the key → index map only
+  /// (FlatHashMap::scramble_layout_for_test). The dense order — the
+  /// container's behavior-visible state — is untouched.
+  template <class Rng>
+  void scramble_layout_for_test(Rng& rng, bool leave_migrating) {
+    index_.scramble_layout_for_test(rng, leave_migrating);
   }
 
   /// f(const K&) in insertion order (as reshuffled by swap-pop erases).

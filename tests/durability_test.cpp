@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -19,6 +21,7 @@
 #include "core/reservation_scheduler.hpp"
 #include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
+#include "durability/scheduler_persist.hpp"
 #include "durability/snapshot.hpp"
 #include "durability/wal.hpp"
 #include "schedule/validator.hpp"
@@ -86,6 +89,78 @@ void expect_identical_schedules(const Schedule& sa, const Schedule& sb,
     EXPECT_EQ(placement.machine, other->machine) << where << ": job " << id.value;
     EXPECT_EQ(placement.slot, other->slot) << where << ": job " << id.value;
   }
+}
+
+void expect_same_stats(const RequestStats& a, const RequestStats& b, std::size_t i) {
+  EXPECT_EQ(a.reallocations, b.reallocations) << "request " << i;
+  EXPECT_EQ(a.migrations, b.migrations) << "request " << i;
+  EXPECT_EQ(a.levels_touched, b.levels_touched) << "request " << i;
+  EXPECT_EQ(a.degraded, b.degraded) << "request " << i;
+  EXPECT_EQ(a.rebuilt, b.rebuilt) << "request " << i;
+}
+
+/// The snapshot payload of `s` (SchedulerPersist::save).
+std::vector<std::byte> state_bytes(const ReservationScheduler& s) {
+  durability::ByteSink sink;
+  durability::SchedulerPersist::save(s, sink);
+  return sink.bytes();
+}
+
+/// A fresh scheduler loaded from a snapshot payload.
+std::unique_ptr<ReservationScheduler> load_state(const SchedulerOptions& options,
+                                                 const std::vector<std::byte>& bytes) {
+  auto s = std::make_unique<ReservationScheduler>(options);
+  durability::ByteSource source(bytes);
+  durability::SchedulerPersist::load(*s, source);
+  return s;
+}
+
+// Byte offsets fixed by snapshot format v2 (durability/scheduler_persist.hpp):
+// the 44-byte header, then the job count and 53-byte job records.
+constexpr std::size_t kVersionAt = 8;
+constexpr std::size_t kParkedAt = 28;
+constexpr std::size_t kJobCountAt = 44;
+constexpr std::size_t job_at(std::uint64_t k) { return 52 + k * 53; }
+constexpr std::size_t kJobWindowEnd = 32;  // within a job record
+constexpr std::size_t kJobLevel = 40;
+constexpr std::size_t kJobSlot = 44;
+
+std::uint64_t get_le(const std::vector<std::byte>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= std::to_integer<std::uint64_t>(bytes[at + static_cast<std::size_t>(i)]) << (8 * i);
+  }
+  return v;
+}
+
+void set_le(std::vector<std::byte>& bytes, std::size_t at, int width, std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<std::byte>(v >> (8 * i));
+  }
+}
+
+/// Commits `payload` as the snapshot file `path` with a freshly computed
+/// length/CRC trailer, so a malformed payload gets past the checksum and
+/// reaches the decoder.
+void write_payload(const std::string& path, const std::vector<std::byte>& payload) {
+  durability::ByteSink trailer;
+  trailer.u64(payload.size());
+  trailer.u32(crc32c(payload.data(), payload.size()));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size()));
+  out.write(reinterpret_cast<const char*>(trailer.bytes().data()),
+            static_cast<std::streamsize>(trailer.size()));
+}
+
+/// The payload of the snapshot file `path` (the file minus its trailer).
+std::vector<std::byte> read_payload(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_GE(file.size(), 12u);
+  std::vector<std::byte> payload(file.size() - 12);
+  std::memcpy(payload.data(), file.data(), payload.size());
+  return payload;
 }
 
 // ------------------------------------------------------------------ crc32c
@@ -272,6 +347,9 @@ TEST(Snapshot, RoundTripIsByteIdenticalAndContinuesInLockstep) {
   EXPECT_EQ(original.n_star(), recovered.n_star());
   EXPECT_EQ(original.parked_jobs(), recovered.parked_jobs());
   EXPECT_EQ(original.active_jobs(), recovered.active_jobs());
+  // The format is canonical: the recovered state, laid out in tables of its
+  // own, saves to the very same bytes.
+  EXPECT_EQ(state_bytes(original), state_bytes(recovered));
   recovered.audit();  // full invariant sweep on the recovered state
 
   // The two instances must now be indistinguishable request by request —
@@ -279,13 +357,83 @@ TEST(Snapshot, RoundTripIsByteIdenticalAndContinuesInLockstep) {
   for (std::size_t i = cut + 1; i < trace.size(); ++i) {
     const RequestStats a = serve(original, trace[i]);
     const RequestStats b = serve(recovered, trace[i]);
-    EXPECT_EQ(a.reallocations, b.reallocations) << "request " << i;
-    EXPECT_EQ(a.levels_touched, b.levels_touched) << "request " << i;
-    EXPECT_EQ(a.degraded, b.degraded) << "request " << i;
-    EXPECT_EQ(a.rebuilt, b.rebuilt) << "request " << i;
+    expect_same_stats(a, b, i);
   }
   expect_identical_schedules(original.snapshot(), recovered.snapshot(), "post-suffix");
+  ASSERT_EQ(original.rebuild_in_flight(), recovered.rebuild_in_flight());
+  if (!original.rebuild_in_flight()) {
+    EXPECT_EQ(state_bytes(original), state_bytes(recovered));
+  }
   recovered.audit();
+}
+
+// Layout-scramble differential: nothing the scheduler decides may depend on
+// how its hash tables lay out their entries. A state loaded from a snapshot
+// is re-laid out (random capacities and insertion orders, and on odd seeds
+// every incremental table left mid-migration) and must (a) save to the same
+// bytes, (b) stay in per-request lockstep with an unscrambled twin through
+// the rest of the trace — n*-rebuilds included, with further scrambles
+// mid-suffix, some of them mid-migration — and (c) pass the full audit.
+void run_scramble_differential(bool legacy_rehash) {
+  SchedulerOptions options = base_options();
+  options.legacy_rehash = legacy_rehash;
+  // Cut during the ramp so the suffix doubles n* several times.
+  const std::vector<Request> trace = churn_trace(53, 1'200, 384);
+  ReservationScheduler original(options);
+  std::size_t cut = 0;
+  for (; cut < trace.size(); ++cut) {
+    serve(original, trace[cut]);
+    if (cut >= 120 && !original.rebuild_in_flight()) break;
+  }
+  const std::vector<std::byte> saved = state_bytes(original);
+
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " legacy " << legacy_rehash);
+    const auto twin = load_state(options, saved);
+    const auto scrambled = load_state(options, saved);
+    scrambled->scramble_layout_for_test(seed);
+    ASSERT_EQ(state_bytes(*scrambled), saved);
+
+    std::size_t rebuilds = 0;
+    std::size_t scrambled_mid_migration = 0;
+    bool was_migrating = false;
+    for (std::size_t i = cut + 1; i < trace.size(); ++i) {
+      const RequestStats a = serve(*twin, trace[i]);
+      const RequestStats b = serve(*scrambled, trace[i]);
+      expect_same_stats(a, b, i);
+      if (a.rebuilt) ++rebuilds;
+      // Re-scramble every 97 requests and on the first request of every
+      // partitioned rebuild (the shadow generation gets scrambled too).
+      const bool migration_began = scrambled->rebuild_in_flight() && !was_migrating;
+      was_migrating = scrambled->rebuild_in_flight();
+      if ((i - cut) % 97 == 0 || migration_began) {
+        if (scrambled->rebuild_in_flight()) ++scrambled_mid_migration;
+        scrambled->scramble_layout_for_test(seed * 1'000 + i);
+      }
+      if ((i - cut) % 16 == 0) {
+        expect_identical_schedules(twin->snapshot(), scrambled->snapshot(), "suffix");
+      }
+    }
+    EXPECT_GT(rebuilds, 0u);
+    EXPECT_GT(scrambled_mid_migration, 0u);
+    expect_identical_schedules(twin->snapshot(), scrambled->snapshot(), "post-suffix");
+    EXPECT_EQ(twin->n_star(), scrambled->n_star());
+    EXPECT_EQ(twin->parked_jobs(), scrambled->parked_jobs());
+    ASSERT_EQ(twin->rebuild_in_flight(), scrambled->rebuild_in_flight());
+    if (!twin->rebuild_in_flight()) {
+      EXPECT_EQ(state_bytes(*twin), state_bytes(*scrambled));
+    }
+    scrambled->audit();
+    if (testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(Snapshot, LayoutScrambleKeepsBytesAndLockstepIncremental) {
+  run_scramble_differential(/*legacy_rehash=*/false);
+}
+
+TEST(Snapshot, LayoutScrambleKeepsBytesAndLockstepLegacyRehash) {
+  run_scramble_differential(/*legacy_rehash=*/true);
 }
 
 TEST(Snapshot, CorruptionIsDetectedNotTrusted) {
@@ -335,6 +483,73 @@ TEST(Snapshot, CorruptionIsDetectedNotTrusted) {
     ReservationScheduler fresh(options);
     EXPECT_FALSE(durability::load_snapshot(dir.path + "/snap-99.snap", fresh));
   }
+
+  // Checksummed but malformed payloads: each must be refused with
+  // CorruptInput (load_snapshot returns false), never trusted, never an
+  // allocation sized by the lying field, never another exception type.
+  const std::vector<std::byte> payload = state_bytes(s);
+  const std::uint64_t jobs = get_le(payload, kJobCountAt, 8);
+  ASSERT_GE(jobs, 2u);
+  const std::size_t levels_at = job_at(jobs);
+  ASSERT_EQ(get_le(payload, levels_at, 8), options.levels.level_count());
+  // Level 0 holds no intervals, windows or census: three zero counts and a
+  // u32 active bound, then level 1's interval count.
+  ASSERT_EQ(get_le(payload, levels_at + 8, 8), 0u);
+  ASSERT_EQ(get_le(payload, levels_at + 16, 8), 0u);
+  ASSERT_EQ(get_le(payload, levels_at + 24, 8), 0u);
+  const std::size_t level1_at = levels_at + 36;
+  ASSERT_GE(get_le(payload, level1_at, 8), 2u);
+  // First interval: base i64 | assigned u32 | entries of offset u32 + owner.
+  const std::size_t interval_at = level1_at + 8;
+  const std::uint64_t assigned = get_le(payload, interval_at + 8, 4);
+  ASSERT_GE(assigned, 1u);
+  const std::size_t second_interval_at = interval_at + 12 + assigned * 13;
+
+  struct Case {
+    const char* what;
+    std::function<void(std::vector<std::byte>&)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"version 1 header", [](auto& b) { set_le(b, kVersionAt, 4, 1); }},
+      {"job count beyond the payload",
+       [](auto& b) { set_le(b, kJobCountAt, 8, std::uint64_t{1} << 60); }},
+      {"jobs out of id order",
+       [](auto& b) {
+         std::swap_ranges(b.begin() + job_at(0), b.begin() + job_at(1), b.begin() + job_at(1));
+       }},
+      {"repeated job id", [](auto& b) { set_le(b, job_at(1), 8, get_le(b, job_at(0), 8)); }},
+      {"job slot outside its window",
+       [](auto& b) {
+         set_le(b, job_at(0) + kJobSlot, 8, get_le(b, job_at(0) + kJobWindowEnd, 8));
+       }},
+      {"job level disagrees with its span",
+       [](auto& b) { set_le(b, job_at(0) + kJobLevel, 4, 7); }},
+      {"parked count disagrees with the jobs",
+       [](auto& b) { set_le(b, kParkedAt, 8, get_le(b, kParkedAt, 8) + 1); }},
+      {"interval count beyond the payload",
+       [&](auto& b) { set_le(b, level1_at, 8, std::uint64_t{1} << 40); }},
+      {"slot count beyond the payload",
+       [&](auto& b) { set_le(b, interval_at + 8, 4, 0xFFFFFFFFu); }},
+      {"slot offset past the interval",
+       [&](auto& b) { set_le(b, interval_at + 12, 4, options.levels.interval_size(1)); }},
+      {"repeated interval base",
+       [&](auto& b) { set_le(b, second_interval_at, 8, get_le(b, interval_at, 8)); }},
+      {"truncated payload", [](auto& b) { b.resize(b.size() / 2); }},
+      {"trailing bytes", [](auto& b) { b.push_back(std::byte{0}); }},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::byte> bad = payload;
+    c.mutate(bad);
+    write_payload(path, bad);
+    ReservationScheduler fresh(options);
+    bool loaded = true;
+    EXPECT_NO_THROW(loaded = durability::load_snapshot(path, fresh)) << c.what;
+    EXPECT_FALSE(loaded) << c.what;
+  }
+  // The same harness with the untouched payload loads.
+  write_payload(path, payload);
+  ReservationScheduler fresh(options);
+  EXPECT_TRUE(durability::load_snapshot(path, fresh));
 }
 
 TEST(Snapshot, OptionsFingerprintMismatchRefusesToLoad) {
@@ -460,7 +675,11 @@ TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
   recovered.reservation()->audit();
 }
 
-TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
+// Damages the newest of several snapshots, then recovers: the damaged one
+// is skipped and the next-older snapshot plus the WAL suffix rebuild the
+// uninterrupted twin's state.
+void expect_fallback_past_damaged_newest(
+    const std::function<void(const std::string& path)>& damage) {
   TempDir dir;
   const SchedulerOptions options = base_options();
   const std::vector<Request> trace = churn_trace(17, 3'000);
@@ -475,13 +694,7 @@ TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
   }
   std::vector<std::uint64_t> snaps = durability::list_snapshots(dir.path);
   ASSERT_GE(snaps.size(), 2u);
-  // Corrupt the newest snapshot.
-  {
-    const std::string newest = durability::snapshot_path(dir.path, snaps[0]);
-    std::fstream file(newest, std::ios::binary | std::ios::in | std::ios::out);
-    file.seekp(100);
-    file.write("\xff\xff\xff\xff", 4);
-  }
+  damage(durability::snapshot_path(dir.path, snaps[0]));
   DurableScheduler recovered(policy, options);
   EXPECT_EQ(recovered.recovery_report().snapshots_skipped, 1u);
   EXPECT_EQ(recovered.recovery_report().snapshot_csn, snaps[1]);
@@ -490,6 +703,24 @@ TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "fallback");
+}
+
+TEST(Recovery, CorruptNewestSnapshotFallsBackToOlder) {
+  expect_fallback_past_damaged_newest([](const std::string& path) {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(100);
+    file.write("\xff\xff\xff\xff", 4);
+  });
+}
+
+TEST(Recovery, VersionOneSnapshotIsRefusedAndRecoveryFallsBack) {
+  // A snapshot in the retired v1 layout, checksum intact: the version
+  // field alone must refuse it.
+  expect_fallback_past_damaged_newest([](const std::string& path) {
+    std::vector<std::byte> payload = read_payload(path);
+    set_le(payload, kVersionAt, 4, 1);
+    write_payload(path, payload);
+  });
 }
 
 TEST(Recovery, AuditEngineReseedsAfterRecovery) {

@@ -4,9 +4,9 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "base/types.hpp"
-#include "durability/codec.hpp"
 #include "util/flat_hash.hpp"
 #include "util/rng.hpp"
 
@@ -395,7 +395,6 @@ TEST(FlatHashSet, BasicOperations) {
   EXPECT_FALSE(set.insert(JobId{1}));
   EXPECT_TRUE(set.contains(JobId{1}));
   EXPECT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.any().value, 1u);
   EXPECT_EQ(set.erase(JobId{1}), 1u);
   EXPECT_TRUE(set.empty());
 }
@@ -428,143 +427,72 @@ TEST(FlatHashSet, RandomizedAgainstStdUnorderedSet) {
   for (const Time t : seen) EXPECT_TRUE(reference.contains(t));
 }
 
-// ---- serialization round-trips (durability tier, DESIGN.md §9) ----
+// ---- layout scramble (the hook behind the layout-independence differential)
 
-void write_time_int(durability::ByteSink& sink, const Time& key, const int& value) {
-  sink.i64(key);
-  sink.u64(static_cast<std::uint64_t>(value));
-}
-void read_time_int(durability::ByteSource& source, Time& key, int& value) {
-  key = source.i64();
-  value = static_cast<int>(source.u64());
-}
-
-std::vector<std::pair<Time, int>> iteration_order(const FlatHashMap<Time, int>& map) {
-  std::vector<std::pair<Time, int>> order;
-  map.for_each([&](Time key, const int& value) { order.emplace_back(key, value); });
-  return order;
-}
-
-TEST(FlatHashMapSerialize, ExactLayoutRoundTripWithTombstones) {
-  FlatHashMap<Time, int> map;
-  Rng rng(7);
-  for (Time t = 0; t < 500; ++t) map[t * 32] = static_cast<int>(t);
-  for (Time t = 0; t < 500; t += 3) map.erase(t * 32);  // leave tombstones
-
-  durability::ByteSink sink;
-  map.serialize(sink, write_time_int);
-  durability::ByteSource source(sink.bytes().data(), sink.size());
-  FlatHashMap<Time, int> copy;
-  copy.deserialize(source, read_time_int);
-  EXPECT_TRUE(source.exhausted());
-
-  EXPECT_EQ(copy.size(), map.size());
-  // Bit-identical layout: iteration order — not just membership — matches.
-  EXPECT_EQ(iteration_order(copy), iteration_order(map));
-
-  // And the layouts stay in lockstep through further mutation (probe
-  // sequences, growth triggers and tombstone budgets were all restored).
-  for (int step = 0; step < 2'000; ++step) {
-    const Time key = static_cast<Time>(rng.uniform(0, 799)) * 32;
-    if (rng.chance(0.6)) {
-      map[key] = step;
-      copy[key] = step;
-    } else {
-      EXPECT_EQ(map.erase(key), copy.erase(key));
+TEST(FlatHashMapScramble, KeepsContentsModeAndLeavesMigrationsOnRequest) {
+  for (const bool legacy : {false, true}) {
+    std::size_t left_migrating = 0;
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+      FlatHashMap<Time, int> map;
+      map.set_legacy_rehash(legacy);
+      std::unordered_map<Time, int> reference;
+      for (Time t = 0; t < 300; ++t) {
+        map[t * 16] = static_cast<int>(t);
+        reference[t * 16] = static_cast<int>(t);
+      }
+      for (Time t = 0; t < 300; t += 3) {
+        map.erase(t * 16);
+        reference.erase(t * 16);
+      }
+      Rng rng(seed);
+      const bool leave_migrating = seed % 2 == 1;
+      map.scramble_layout_for_test(rng, leave_migrating);
+      if (legacy || !leave_migrating) {
+        EXPECT_FALSE(map.rehash_in_flight());
+      }
+      if (map.rehash_in_flight()) ++left_migrating;
+      ASSERT_EQ(map.size(), reference.size());
+      for (const auto& [key, value] : reference) {
+        ASSERT_NE(map.find(key), nullptr) << "seed " << seed;
+        EXPECT_EQ(*map.find(key), value);
+      }
+      // The scrambled table keeps working, migration included.
+      for (int step = 0; step < 1'000; ++step) {
+        const Time key = static_cast<Time>(rng.uniform(0, 599)) * 16;
+        if (rng.chance(0.5)) {
+          map[key] = step;
+          reference[key] = step;
+        } else {
+          EXPECT_EQ(map.erase(key), reference.erase(key));
+        }
+      }
+      ASSERT_EQ(map.size(), reference.size());
+      for (const auto& [key, value] : reference) EXPECT_EQ(map.at(key), value);
+    }
+    if (!legacy) {
+      EXPECT_GT(left_migrating, 0u);
     }
   }
-  EXPECT_EQ(iteration_order(copy), iteration_order(map));
 }
 
-TEST(FlatHashMapSerialize, MidMigrationRoundTripKeepsBothTables) {
-  // Grow an incremental-mode map until a two-table migration is in flight,
-  // then round-trip: the retiring table, cursor included, must survive so
-  // the copy drains the migration exactly like the original.
-  FlatHashMap<Time, int> map;
-  Time t = 0;
-  // Default growth doubles at 7/8 load; keep inserting until a serialize →
-  // deserialize at this instant exposes a non-empty old table (checked via
-  // behavioral lockstep below regardless).
-  for (; t < 3'000; ++t) map[t * 8] = static_cast<int>(t);
-
-  durability::ByteSink sink;
-  map.serialize(sink, write_time_int);
-  durability::ByteSource source(sink.bytes().data(), sink.size());
-  FlatHashMap<Time, int> copy;
-  copy.deserialize(source, read_time_int);
-
-  EXPECT_EQ(iteration_order(copy), iteration_order(map));
-  for (; t < 6'000; ++t) {
-    map[t * 8] = static_cast<int>(t);
-    copy[t * 8] = static_cast<int>(t);
-  }
-  EXPECT_EQ(iteration_order(copy), iteration_order(map));
-}
-
-TEST(FlatHashSetSerialize, RoundTripPreservesLayout) {
-  FlatHashSet<JobId> set;
-  for (std::uint64_t i = 0; i < 300; ++i) set.insert(JobId{i});
-  for (std::uint64_t i = 0; i < 300; i += 5) set.erase(JobId{i});
-
-  durability::ByteSink sink;
-  set.serialize(sink, [](durability::ByteSink& s, const JobId& id) { s.u64(id.value); });
-  durability::ByteSource source(sink.bytes().data(), sink.size());
-  FlatHashSet<JobId> copy;
-  copy.deserialize(source,
-                   [](durability::ByteSource& s, JobId& id) { id.value = s.u64(); });
-
-  EXPECT_EQ(copy.size(), set.size());
-  std::vector<std::uint64_t> a, b;
-  set.for_each([&](const JobId& id) { a.push_back(id.value); });
-  copy.for_each([&](const JobId& id) { b.push_back(id.value); });
-  EXPECT_EQ(a, b);
-}
-
-TEST(DenseHashSetSerialize, RoundTripPreservesIterationOrder) {
-  // The dense vector's order is behavior (acquire_slot picks, ledger donor
-  // picks); swap-pop erases reshuffle it, and the round-trip must keep the
-  // reshuffled order exactly.
+TEST(DenseHashSetScramble, KeepsIterationOrder) {
   DenseHashSet<Time> set;
   for (Time t = 0; t < 200; ++t) set.insert(t * 16);
   for (Time t = 0; t < 200; t += 7) set.erase(t * 16);  // swap-pop reshuffle
-
-  durability::ByteSink sink;
-  set.serialize(sink, [](durability::ByteSink& s, const Time& t) { s.i64(t); });
-  durability::ByteSource source(sink.bytes().data(), sink.size());
-  DenseHashSet<Time> copy;
-  copy.deserialize(source, [](durability::ByteSource& s, Time& t) { t = s.i64(); });
-
-  std::vector<Time> a, b;
-  set.for_each([&](Time t) { a.push_back(t); });
-  copy.for_each([&](Time t) { b.push_back(t); });
-  EXPECT_EQ(a, b);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(set.back(), copy.back());
-
-  // Continued mutation agrees too (the rebuilt index maps keys correctly).
-  set.erase(a.front());
-  copy.erase(a.front());
-  set.insert(99'999);
-  copy.insert(99'999);
-  a.clear();
-  b.clear();
-  set.for_each([&](Time t) { a.push_back(t); });
-  copy.for_each([&](Time t) { b.push_back(t); });
-  EXPECT_EQ(a, b);
-}
-
-TEST(FlatHashMapSerialize, CorruptCtrlByteIsRejected) {
-  FlatHashMap<Time, int> map;
-  for (Time t = 0; t < 32; ++t) map[t] = 1;
-  durability::ByteSink sink;
-  map.serialize(sink, write_time_int);
-  // First table's ctrl bytes start right after the u64 capacity; smash one
-  // to an out-of-range value.
-  std::vector<std::byte> bytes(sink.bytes().begin(), sink.bytes().end());
-  bytes[8] = std::byte{0xEE};
-  durability::ByteSource source(bytes.data(), bytes.size());
-  FlatHashMap<Time, int> copy;
-  EXPECT_THROW(copy.deserialize(source, read_time_int), InternalError);
+  std::vector<Time> before;
+  set.for_each([&](Time t) { before.push_back(t); });
+  Rng rng(3);
+  set.scramble_layout_for_test(rng, /*leave_migrating=*/true);
+  std::vector<Time> after;
+  set.for_each([&](Time t) { after.push_back(t); });
+  EXPECT_EQ(after, before);
+  // Erases still swap-pop by the (rebuilt) dense index.
+  set.erase(before.front());
+  EXPECT_EQ(set.size(), before.size() - 1);
+  EXPECT_FALSE(set.contains(before.front()));
+  std::vector<Time> erased;
+  set.for_each([&](Time t) { erased.push_back(t); });
+  EXPECT_EQ(erased.front(), before.back());
 }
 
 }  // namespace

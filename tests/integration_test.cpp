@@ -29,7 +29,6 @@ TEST(Integration, LongChurnFullValidation) {
   const auto trace = make_churn_trace(params);
 
   SchedulerOptions options;
-  options.audit = false;  // audited variants covered elsewhere; keep this big
   ReallocatingScheduler scheduler(3, options);
   SimOptions sim;
   sim.validate_every = 20;

@@ -59,7 +59,7 @@ TEST(PartitionedRebuild, MigrationActuallySpansRequestsAndStaysAudited) {
   // single one (audit covers both generations).
   SchedulerOptions options = base_options();
   options.rebuild_batch = 16;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
 
   const auto trace = churn_trace(41, 1'500, 600);
@@ -94,7 +94,7 @@ TEST(PartitionedRebuild, InterleavedChurnAtLevelBoundaries) {
   // classes on both sides while the shadow generation catches up.
   SchedulerOptions options = base_options();
   options.rebuild_batch = 8;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
 
   std::uint64_t next = 1;
@@ -279,7 +279,7 @@ TEST(PartitionedRebuild, RetiredGenerationDrainsAndArenaIsReused) {
 TEST(PartitionedRebuild, HalvingBoundariesMigrateToo) {
   SchedulerOptions options = base_options();
   options.rebuild_batch = 8;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   ReservationScheduler s(options);
 
   std::vector<JobId> active;

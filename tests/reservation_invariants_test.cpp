@@ -11,7 +11,7 @@ namespace {
 SchedulerOptions bare() {
   SchedulerOptions options;
   options.trimming = false;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   return options;
 }
 
@@ -177,7 +177,7 @@ TEST(ReservationLedger, DeepTowerLevelsWork) {
   // cross-level machinery deeper than the paper constants allow.
   SchedulerOptions options;
   options.trimming = false;
-  options.audit = true;
+  options.audit_policy.mode = audit::Mode::kFull;
   options.levels = LevelTable::custom({32, 256, pow2(16), pow2(62)});
   ReservationScheduler s(options);
   s.insert(JobId{1}, Window{0, static_cast<Time>(pow2(17))});  // level 3
