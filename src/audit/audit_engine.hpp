@@ -37,9 +37,10 @@
 // engine reusable across components — the striped balancer ledger uses the
 // same DirtyQueue primitive per stripe (core/balance_ledger.hpp).
 //
-// Thread-safety: none; one engine per scheduler instance, touched only by
-// that instance's owning thread (shard-local by construction, like the
-// interval arenas — DESIGN.md §6/§7).
+// Thread-safety: none; one engine per scheduler instance, touched by one
+// thread at a time — in the sharded service, the thread that claimed that
+// machine's op list for the batch (like the interval arenas — DESIGN.md
+// §6/§7).
 #pragma once
 
 #include <cstdint>

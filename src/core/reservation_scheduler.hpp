@@ -408,7 +408,8 @@ class ReservationScheduler final : public IReallocScheduler {
     FlatHashMap<WindowKey, ActiveWindow> windows;
     /// Backing store for every Interval of this level (one block each).
     /// Owned by this level of this scheduler instance — in the sharded
-    /// service layer that makes arenas shard-local by construction.
+    /// service layer one thread at a time runs the instance (the one that
+    /// claimed its machine's op list), so arenas need no lock.
     BlockArena arena;
     /// Active-window count per span class; supports the two hot-path
     /// shortcuts below.

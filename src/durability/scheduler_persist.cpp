@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -316,6 +317,17 @@ void SchedulerPersist::load(ReservationScheduler& s, ByteSource& source) {
     }
   }
   if (!source.exhausted()) throw CorruptInput("snapshot: trailing bytes");
+
+  // The checks above cover structure (counts, order, ranges); cross-ledger
+  // lies — a window's job count, a ledger slot no interval backs — show
+  // only against the rest of the state, so the loaded state must pass the
+  // full audit.
+  try {
+    s.audit();
+  } catch (const InternalError& violation) {
+    throw CorruptInput(std::string("snapshot: loaded state fails the audit: ") +
+                       violation.what());
+  }
 
   // Wholesale state change under an attached engine: escalate so the next
   // incremental audit runs one full sweep and reseeds the dirty-tracking

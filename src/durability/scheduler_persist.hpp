@@ -67,8 +67,9 @@ struct SchedulerPersist {
   /// under (verified via fingerprint). Any malformed input — a count the
   /// payload cannot hold, unsorted or duplicate keys, an out-of-range slot
   /// or span — throws CorruptInput before it can size an allocation or
-  /// index an array. On success the attached audit engine (if any) is
-  /// escalated with mark_all().
+  /// index an array. A well-formed state that fails the full audit (a
+  /// cross-ledger lie) throws CorruptInput too. On success the attached
+  /// audit engine (if any) is escalated with mark_all().
   static void load(ReservationScheduler& s, ByteSource& source);
 
   /// Fingerprint of the options fields that shape serialized state and

@@ -22,9 +22,11 @@
 //     single request pays the teardown.
 //
 // Not thread-safe; each arena is owned by exactly one scheduler instance.
-// In the sharded service layer every per-machine scheduler (and hence every
-// arena) is private to one shard worker — arenas are shard-local by
-// construction and need no locking (DESIGN.md §6).
+// In the sharded service layer, within one apply each machine's op list
+// runs on exactly one thread (whichever pool thread claims it), and the
+// join on the batch's tasks orders one batch before the next — so every
+// per-machine scheduler (and hence every arena) has one user at a time and
+// needs no locking (DESIGN.md §6).
 #pragma once
 
 #include <cstddef>

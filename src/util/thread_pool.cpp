@@ -1,81 +1,22 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <string>
+#include <exception>
 
-#include "telemetry/registry.hpp"
 #include "util/assert.hpp"
 
 namespace reasched {
-
-#if RS_TELEM_COMPILED
-namespace {
-
-/// Per-worker queue-depth gauge ("svc.queue.depth.<k>"), interned lazily so
-/// only pools that actually run pay for slots. Worker indexes beyond the
-/// named range share a catch-all — the registry has a fixed gauge budget.
-const telemetry::Gauge& queue_depth_gauge(std::size_t index) {
-  constexpr std::size_t kNamedQueues = 16;
-  static std::mutex mutex;
-  static std::vector<telemetry::Gauge> gauges;
-  if (index > kNamedQueues) index = kNamedQueues;  // catch-all slot
-  std::lock_guard lock(mutex);
-  while (gauges.size() <= index) {
-    const std::size_t k = gauges.size();
-    gauges.emplace_back(k == kNamedQueues
-                            ? std::string("svc.queue.depth.other")
-                            : "svc.queue.depth." + std::to_string(k));
-  }
-  return gauges[index];
-}
-
-}  // namespace
-#endif
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-  }
-}
 
 ShardedThreadPool::ShardedThreadPool(std::size_t workers) {
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-    Worker& worker = *workers_.back();
-    worker.index = i;
-    worker.thread = std::thread([this, &worker] { worker_loop(worker); });
+    workers_.back()->index = i;
+  }
+  // Threads start only once workers_ is complete: every worker scans its
+  // siblings' deques, and thread creation orders these writes before it.
+  for (auto& worker : workers_) {
+    worker->thread = std::thread([this, &w = *worker] { worker_loop(w); });
   }
 }
 
@@ -90,35 +31,17 @@ ShardedThreadPool::~ShardedThreadPool() {
   for (auto& worker : workers_) worker->thread.join();
 }
 
-std::future<void> ShardedThreadPool::submit_to(std::size_t worker_index,
-                                               std::function<void()> fn) {
-  RS_REQUIRE(worker_index < workers_.size(),
-             "ShardedThreadPool::submit_to: worker index out of range");
-  Worker& worker = *workers_[worker_index];
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> result = task.get_future();
-  {
-    std::lock_guard lock(worker.mutex);
-    worker.queue.push(std::move(task));
-  }
-#if RS_TELEM_COMPILED
-  RS_TELEM_GAUGE_ADD(queue_depth_gauge(worker_index), 1);
-#endif
-  worker.cv.notify_one();
-  return result;
-}
-
-std::future<void> ShardedThreadPool::submit_stealable(std::size_t home,
-                                                      std::function<void()> fn) {
+std::future<void> ShardedThreadPool::submit(std::size_t home,
+                                            std::function<void()> fn) {
   RS_REQUIRE(home < workers_.size(),
-             "ShardedThreadPool::submit_stealable: home worker out of range");
+             "ShardedThreadPool::submit: home worker out of range");
   Worker& worker = *workers_[home];
   std::packaged_task<void()> task(std::move(fn));
   std::future<void> result = task.get_future();
   {
     std::lock_guard lock(worker.mutex);
-    worker.stealable.push_back(std::move(task));
-    stealable_count_.fetch_add(1, std::memory_order_relaxed);
+    worker.tasks.push_back(std::move(task));
+    queued_.fetch_add(1, std::memory_order_relaxed);
   }
   worker.cv.notify_one();
   // Wake one potential thief (rotating) so an idle sibling can help a
@@ -132,7 +55,7 @@ std::future<void> ShardedThreadPool::submit_stealable(std::size_t home,
 }
 
 bool ShardedThreadPool::steal_and_run(std::size_t exclude) {
-  if (stealable_count_.load(std::memory_order_relaxed) == 0) return false;
+  if (queued_.load(std::memory_order_relaxed) == 0) return false;
   const std::size_t n = workers_.size();
   const std::size_t start =
       steal_cursor_.fetch_add(1, std::memory_order_relaxed);
@@ -143,10 +66,10 @@ bool ShardedThreadPool::steal_and_run(std::size_t exclude) {
     std::packaged_task<void()> task;
     {
       std::lock_guard lock(worker.mutex);
-      if (!worker.stealable.empty()) {
-        task = std::move(worker.stealable.back());
-        worker.stealable.pop_back();
-        stealable_count_.fetch_sub(1, std::memory_order_relaxed);
+      if (!worker.tasks.empty()) {
+        task = std::move(worker.tasks.back());
+        worker.tasks.pop_back();
+        queued_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
     if (task.valid()) {
@@ -158,48 +81,37 @@ bool ShardedThreadPool::steal_and_run(std::size_t exclude) {
   return false;
 }
 
-bool ShardedThreadPool::try_run_stealable() { return steal_and_run(workers_.size()); }
+bool ShardedThreadPool::try_run_one() { return steal_and_run(workers_.size()); }
 
 void ShardedThreadPool::worker_loop(Worker& worker) {
-  // After a fruitless steal scan the stealable-count hint may still be
+  // After a fruitless steal scan the queued-count hint may still be
   // nonzero (a sibling claimed the task first), so the next wait uses a
   // timeout instead of the hint to avoid a notify-free spin.
   bool scan_failed = false;
   for (;;) {
     std::packaged_task<void()> task;
-    bool pinned = false;
     {
       std::unique_lock lock(worker.mutex);
       const auto has_local = [&] {
-        return worker.stopping || !worker.queue.empty() ||
-               !worker.stealable.empty();
+        return worker.stopping || !worker.tasks.empty();
       };
       if (scan_failed) {
         worker.cv.wait_for(lock, std::chrono::milliseconds(1), has_local);
       } else {
         worker.cv.wait(lock, [&] {
           return has_local() ||
-                 stealable_count_.load(std::memory_order_relaxed) > 0;
+                 queued_.load(std::memory_order_relaxed) > 0;
         });
       }
-      if (!worker.queue.empty()) {
-        task = std::move(worker.queue.front());
-        worker.queue.pop();
-        pinned = true;
-      } else if (!worker.stealable.empty()) {
-        task = std::move(worker.stealable.front());
-        worker.stealable.pop_front();
-        stealable_count_.fetch_sub(1, std::memory_order_relaxed);
+      if (!worker.tasks.empty()) {
+        task = std::move(worker.tasks.front());
+        worker.tasks.pop_front();
+        queued_.fetch_sub(1, std::memory_order_relaxed);
       } else if (worker.stopping) {
         return;
       }
     }
     if (task.valid()) {
-#if RS_TELEM_COMPILED
-      if (pinned) RS_TELEM_GAUGE_ADD(queue_depth_gauge(worker.index), -1);
-#else
-      (void)pinned;
-#endif
       task();
       scan_failed = false;
       continue;
@@ -208,14 +120,38 @@ void ShardedThreadPool::worker_loop(Worker& worker) {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
+void ShardedThreadPool::run(std::size_t count,
+                            const std::function<std::size_t(std::size_t)>& home,
+                            const std::function<void(std::size_t)>& task) {
+  std::exception_ptr first;
+  if (workers_.empty()) {
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        task(i);
+      } catch (...) {
+        if (!first) first = std::current_exception();
+      }
+    }
+    if (first) std::rethrow_exception(first);
+    return;
+  }
   std::vector<std::future<void>> futures;
   futures.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(submit([&fn, i] { fn(i); }));
+    futures.push_back(submit(home(i) % workers_.size(), [&task, i] { task(i); }));
   }
-  for (auto& f : futures) f.get();
+  // The caller lends its cycles instead of idling on the joins.
+  for (auto& future : futures) {
+    while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      if (!try_run_one()) future.wait_for(std::chrono::microseconds(50));
+    }
+    try {
+      future.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace reasched

@@ -1,19 +1,15 @@
-// Minimal fixed-size thread pools.
+// Fixed-size work-stealing thread pool.
 //
-// ThreadPool: one shared queue, used to parallelize benchmark sweeps and
-// batch validation — embarrassingly parallel harness work where any worker
-// may take any task.
-//
-// ShardedThreadPool: one queue per worker, used by the sharded scheduling
-// service (src/service/). Shard k's machine state is only ever touched by
-// worker k, so tasks must be *pinned*: per-shard queues give that affinity
-// and avoid the shared-queue lock on the batch hot path. Alongside the
-// pinned queue each worker carries a *stealable* deque (submit_stealable)
-// for work whose home assignment is only a cache preference: idle workers
-// — and the batch caller, via try_run_stealable() — take from a
-// backlogged sibling's back end, so a hotspot shard under skewed
-// machine→shard placement cannot serialize the whole batch (DESIGN.md
-// §11).
+// ShardedThreadPool gives each worker one task deque. A task's home worker
+// is only a cache preference: the home pops its deque's front (submission
+// order), while idle siblings — and a waiting caller, via try_run_one() —
+// steal from a backlogged worker's back end, so a hotspot shard under
+// skewed machine→shard placement cannot serialize a whole batch
+// (DESIGN.md §11). run() is the one fan-out built on it: the
+// sharded scheduling service (src/service/) runs its per-stripe plan and
+// per-machine apply units through it, and sim/sweep.cpp its independent
+// replays. The pool gives no thread affinity; callers that need a unit of
+// state touched by one thread at a time make that state the unit.
 #pragma once
 
 #include <atomic>
@@ -25,53 +21,14 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace reasched {
 
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (defaults to hardware concurrency, min 1).
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; returns a future for its result.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
-
-  /// Runs fn(i) for i in [0, count) across the pool and waits for all.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
-
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopping_ = false;
-};
-
-/// Pool with per-worker queues and explicit task placement. `workers` may be
-/// zero (a valid pool that accepts no tasks — the single-shard service runs
-/// everything inline on the caller).
+/// Pool of `workers` threads with per-worker stealable deques. `workers`
+/// may be zero: run() then executes everything inline on the caller (the
+/// single-shard service and a one-thread sweep run that way).
 class ShardedThreadPool {
  public:
   explicit ShardedThreadPool(std::size_t workers);
@@ -80,27 +37,28 @@ class ShardedThreadPool {
   ShardedThreadPool(const ShardedThreadPool&) = delete;
   ShardedThreadPool& operator=(const ShardedThreadPool&) = delete;
 
-  /// Enqueues a task on worker `worker`'s own queue; tasks submitted to the
-  /// same worker run sequentially in submission order. Pinned tasks are
-  /// never stolen — use for work that must touch worker-affine state.
-  std::future<void> submit_to(std::size_t worker, std::function<void()> fn);
+  /// Runs task(i) for every i in [0, count) and returns once all have run.
+  /// Task i is homed on worker home(i) % size(); each runs exactly once, on
+  /// whichever thread claims it, and the caller runs queued tasks itself
+  /// while it waits. With zero workers the tasks run inline in index
+  /// order. If tasks throw, the lowest-indexed task's exception is rethrown
+  /// after every task has finished.
+  void run(std::size_t count, const std::function<std::size_t(std::size_t)>& home,
+           const std::function<void(std::size_t)>& task);
 
-  /// Enqueues a *stealable* task with home worker `home`: the home worker
-  /// prefers it (front of its deque, submission order), but any idle
-  /// worker — or the caller, via try_run_stealable() — may take it from
-  /// the back. Use for work where affinity is a cache preference, not a
-  /// correctness requirement; a hotspot shard's backlog then spreads to
-  /// idle siblings instead of serializing behind one worker (DESIGN.md
-  /// §11, ingestion under skewed machine→shard placement).
-  std::future<void> submit_stealable(std::size_t home, std::function<void()> fn);
+  /// Enqueues a task with home worker `home` (< size()): the home
+  /// worker prefers it (front of its deque, submission order), but any idle
+  /// worker — or the caller, via try_run_one() — may take it from the
+  /// back.
+  std::future<void> submit(std::size_t home, std::function<void()> fn);
 
-  /// Runs one stealable task on the calling thread, if any is queued
-  /// anywhere. Returns whether a task ran. The batch caller uses this to
-  /// lend its own cycles while it waits on the batch's futures.
-  bool try_run_stealable();
+  /// Runs one queued task on the calling thread, if any is queued anywhere.
+  /// Returns whether a task ran.
+  bool try_run_one();
 
-  /// Stealable tasks executed by a thread other than their home worker
-  /// (process-lifetime, monotone).
+  /// Tasks executed by a thread other than their home worker
+  /// (process-lifetime, monotone; inline runs of a zero-worker pool do not
+  /// count).
   [[nodiscard]] std::uint64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -112,11 +70,10 @@ class ShardedThreadPool {
     std::thread thread;
     std::mutex mutex;
     std::condition_variable cv;
-    std::queue<std::packaged_task<void()>> queue;  // pinned: never stolen
     // Owner pops the front (submission order); thieves pop the back.
-    std::deque<std::packaged_task<void()>> stealable;
+    std::deque<std::packaged_task<void()>> tasks;
     bool stopping = false;
-    std::size_t index = 0;  // position in workers_ (telemetry gauge key)
+    std::size_t index = 0;  // position in workers_
   };
 
   void worker_loop(Worker& worker);
@@ -127,9 +84,9 @@ class ShardedThreadPool {
   // unique_ptr: Worker holds a mutex/cv and must not move when the vector
   // is built.
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Total queued stealable tasks — a wake hint for idle workers, exact
-  /// only under the per-worker locks.
-  std::atomic<std::size_t> stealable_count_{0};
+  /// Total queued tasks — a wake hint for idle workers, exact only under
+  /// the per-worker locks.
+  std::atomic<std::size_t> queued_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::size_t> steal_cursor_{0};  // scan start + victim rotation
 };

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -131,6 +132,47 @@ std::uint64_t get_le(const std::vector<std::byte>& bytes, std::size_t at, int wi
     v |= std::to_integer<std::uint64_t>(bytes[at + static_cast<std::size_t>(i)]) << (8 * i);
   }
   return v;
+}
+
+/// Where one saved window record sits in a v2 payload: its `jobs` field
+/// and the count fields of its two dense slot sets (each count is followed
+/// by that many i64 slots).
+struct SavedWindow {
+  Window window;
+  std::size_t jobs_at = 0;
+  std::size_t assigned_at = 0;
+  std::size_t free_at = 0;
+};
+
+/// Walks every level's intervals, windows and census in a v2 payload whose
+/// level count sits at `levels_at`, returning each window record.
+std::vector<SavedWindow> saved_windows(const std::vector<std::byte>& b,
+                                       std::size_t levels_at) {
+  std::vector<SavedWindow> out;
+  const std::uint64_t levels = get_le(b, levels_at, 8);
+  std::size_t at = levels_at + 8;
+  for (std::uint64_t level = 0; level < levels; ++level) {
+    const std::uint64_t intervals = get_le(b, at, 8);
+    at += 8;
+    for (std::uint64_t n = 0; n < intervals; ++n) at += 12 + get_le(b, at + 8, 4) * 13;
+    const std::uint64_t windows = get_le(b, at, 8);
+    at += 8;
+    for (std::uint64_t n = 0; n < windows; ++n) {
+      SavedWindow w;
+      WindowKey key;
+      key.start = static_cast<Time>(get_le(b, at, 8));
+      key.span_log = static_cast<std::uint8_t>(get_le(b, at + 8, 1));
+      w.window = key.window();
+      w.jobs_at = at + 9;
+      w.assigned_at = at + 25;
+      w.free_at = w.assigned_at + 8 + get_le(b, w.assigned_at, 8) * 8;
+      at = w.free_at + 8 + get_le(b, w.free_at, 8) * 8;
+      out.push_back(w);
+    }
+    at += 8 + get_le(b, at, 8) * 4 + 4;  // census, active bound
+  }
+  EXPECT_EQ(at, b.size());
+  return out;
 }
 
 void set_le(std::vector<std::byte>& bytes, std::size_t at, int width, std::uint64_t v) {
@@ -504,6 +546,30 @@ TEST(Snapshot, CorruptionIsDetectedNotTrusted) {
   const std::uint64_t assigned = get_le(payload, interval_at + 8, 4);
   ASSERT_GE(assigned, 1u);
   const std::size_t second_interval_at = interval_at + 12 + assigned * 13;
+  // Cross-ledger lies keep every count, order and range valid: a live
+  // window whose job count is off by one, and a window ledger slot (in both
+  // its assigned and free sets) moved to a slot of the window that no
+  // interval assigns to it.
+  const std::vector<SavedWindow> windows = saved_windows(payload, levels_at);
+  const auto live = std::find_if(windows.begin(), windows.end(), [&](const SavedWindow& w) {
+    return get_le(payload, w.jobs_at, 8) > 0;
+  });
+  ASSERT_NE(live, windows.end());
+  const std::size_t live_jobs_at = live->jobs_at;
+  const auto with_free = std::find_if(windows.begin(), windows.end(), [&](const SavedWindow& w) {
+    return get_le(payload, w.free_at, 8) > 0;
+  });
+  ASSERT_NE(with_free, windows.end());
+  const SavedWindow ledger = *with_free;
+  const std::uint64_t ledger_assigned = get_le(payload, ledger.assigned_at, 8);
+  std::set<Time> ledger_slots;
+  for (std::uint64_t k = 0; k < ledger_assigned; ++k) {
+    ledger_slots.insert(static_cast<Time>(get_le(payload, ledger.assigned_at + 8 + k * 8, 8)));
+  }
+  const auto moved_from = static_cast<Time>(get_le(payload, ledger.free_at + 8, 8));
+  Time moved_to = ledger.window.start;
+  while (ledger_slots.count(moved_to) != 0) ++moved_to;
+  ASSERT_LT(moved_to, ledger.window.end);
 
   struct Case {
     const char* what;
@@ -536,6 +602,20 @@ TEST(Snapshot, CorruptionIsDetectedNotTrusted) {
        [&](auto& b) { set_le(b, second_interval_at, 8, get_le(b, interval_at, 8)); }},
       {"truncated payload", [](auto& b) { b.resize(b.size() / 2); }},
       {"trailing bytes", [](auto& b) { b.push_back(std::byte{0}); }},
+      {"window job count one too high",
+       [&](auto& b) { set_le(b, live_jobs_at, 8, get_le(b, live_jobs_at, 8) + 1); }},
+      {"window job count one too low",
+       [&](auto& b) { set_le(b, live_jobs_at, 8, get_le(b, live_jobs_at, 8) - 1); }},
+      {"free ledger slot moved to a slot no interval backs",
+       [&](auto& b) {
+         set_le(b, ledger.free_at + 8, 8, static_cast<std::uint64_t>(moved_to));
+         for (std::uint64_t k = 0; k < ledger_assigned; ++k) {
+           const std::size_t at = ledger.assigned_at + 8 + k * 8;
+           if (static_cast<Time>(get_le(b, at, 8)) == moved_from) {
+             set_le(b, at, 8, static_cast<std::uint64_t>(moved_to));
+           }
+         }
+       }},
   };
   for (const Case& c : cases) {
     std::vector<std::byte> bad = payload;

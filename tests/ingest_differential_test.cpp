@@ -11,8 +11,8 @@
 // snapshot mismatch. Covers the clean path (reservation pipeline, no
 // rejections), the rejection path (naive scheduler, infeasible inserts —
 // ingest batching must reproduce the same rejected set regardless of where
-// its adaptive batch boundaries fall), work stealing on vs off, and
-// internal ticketing with one producer (where claim order IS trace order).
+// its adaptive batch boundaries fall), stealing-scheduled batches against
+// the sequential MultiMachineScheduler, and internal ticketing with one producer (where claim order IS trace order).
 //
 // ctest label: slow (CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -162,43 +162,45 @@ TEST(IngestDifferential, MatchesSequentialBatchesAtEveryProducerCount) {
   }
 }
 
-// Work stealing must be invisible in results: same trace, same shard
-// count, stealing on vs off, byte-identical stats and schedules (the
-// pinned path is the escape hatch AND the determinism witness).
+// Work stealing must be invisible in results: whichever thread claims
+// each stripe's plan and each machine's op list, a 4-shard service — fed
+// in fixed batches, and through the full ingest front end from 4
+// concurrent producers — matches the same requests fed one at a time to
+// the sequential MultiMachineScheduler, stat for stat and slot for slot.
 TEST(IngestDifferential, WorkStealingIsInvisibleInResults) {
   const auto trace = churn_trace(47, 8, 2500);
 
-  ShardedScheduler::Options pinned_options;
-  pinned_options.shards = 4;
-  pinned_options.work_stealing = false;
-  ShardedScheduler pinned(8, reservation_factory(), pinned_options);
-  const auto want = batched_reference(pinned, trace, 64);
-  EXPECT_EQ(pinned.steal_count(), 0u);
+  MultiMachineScheduler reference(8, reservation_factory());
+  std::vector<RequestStats> want;
+  want.reserve(trace.size());
+  for (const Request& request : trace) {
+    want.push_back(request.kind == RequestKind::kInsert
+                       ? reference.insert(request.job, request.window)
+                       : reference.erase(request.job));
+  }
+  reference.audit_balance();
 
-  ShardedScheduler::Options stealing_options;
-  stealing_options.shards = 4;
-  stealing_options.work_stealing = true;
-  ShardedScheduler stealing(8, reservation_factory(), stealing_options);
-  const auto got = batched_reference(stealing, trace, 64);
-
+  ShardedScheduler::Options options;
+  options.shards = 4;
+  ShardedScheduler batched(8, reservation_factory(), options);
+  const auto got = batched_reference(batched, trace, 64);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     expect_same_stats(want[i], got[i], i);
   }
-  expect_same_schedule(pinned.snapshot(), stealing.snapshot());
-  pinned.audit_balance();
-  stealing.audit_balance();
+  expect_same_schedule(reference.snapshot(), batched.snapshot());
+  batched.audit_balance();
 
   // And through the full ingest front end, concurrently.
-  ShardedScheduler stealing_ingest(8, reservation_factory(), stealing_options);
-  ingest::IngestService service(stealing_ingest, differential_options());
+  ShardedScheduler ingested(8, reservation_factory(), options);
+  ingest::IngestService service(ingested, differential_options());
   concurrent_ingest(service, trace, 4, 77);
   ASSERT_EQ(service.applied_stats().size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     expect_same_stats(want[i], service.applied_stats()[i], i);
   }
-  expect_same_schedule(pinned.snapshot(), stealing_ingest.snapshot());
-  stealing_ingest.audit_balance();
+  expect_same_schedule(reference.snapshot(), ingested.snapshot());
+  ingested.audit_balance();
 }
 
 // Internal ticketing with a single producer: claim order is push order is

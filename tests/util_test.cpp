@@ -2,9 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,51 +205,56 @@ TEST(Table, RowArityMismatchRejected) {
   EXPECT_THROW(table.add_row({"only-one"}), ContractViolation);
 }
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  pool.parallel_for(100, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SubmitReturnsValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ShardedThreadPool, TasksOnOneWorkerRunInSubmissionOrder) {
-  ShardedThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) {
-    futures.push_back(pool.submit_to(1, [&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  // Same worker → same queue → strictly sequential, no synchronization
-  // needed around `order` beyond the futures' completion.
-  ASSERT_EQ(order.size(), 16u);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ShardedThreadPool, WorkersRunIndependently) {
+TEST(ShardedThreadPool, RunRunsAllTasks) {
   ShardedThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (std::size_t w = 0; w < 4; ++w) {
-    for (int i = 0; i < 25; ++i) {
-      futures.push_back(pool.submit_to(w, [&counter] { ++counter; }));
+  pool.run(
+      100, [](std::size_t i) { return i; }, [&](std::size_t) { ++counter; });
+  EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ShardedThreadPool, RunWithZeroWorkersRunsInlineInIndexOrder) {
+  ShardedThreadPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool off_caller = false;
+  pool.run(
+      16, [](std::size_t i) { return i; },
+      [&](std::size_t i) {
+        order.push_back(i);
+        if (std::this_thread::get_id() != caller) off_caller = true;
+      });
+  ASSERT_EQ(order.size(), 16u);
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(pool.steals(), 0u);
+}
+
+TEST(ShardedThreadPool, RunRethrowsOnlyAfterEveryTaskRan) {
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    ShardedThreadPool pool(workers);
+    std::atomic<int> finished{0};
+    try {
+      pool.run(
+          32, [](std::size_t i) { return i; },
+          [&](std::size_t i) {
+            if (i == 3 || i == 7) throw std::runtime_error(std::to_string(i));
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            ++finished;
+          });
+      ADD_FAILURE() << "run did not rethrow (" << workers << " workers)";
+    } catch (const std::runtime_error& error) {
+      // The lowest-indexed failure wins, and no task is still running.
+      EXPECT_STREQ(error.what(), "3") << workers << " workers";
+      EXPECT_EQ(finished.load(), 30) << workers << " workers";
     }
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ShardedThreadPool, ZeroWorkersIsValid) {
   ShardedThreadPool pool(0);
   EXPECT_EQ(pool.size(), 0u);
-  EXPECT_THROW(pool.submit_to(0, [] {}), ContractViolation);
+  EXPECT_THROW(pool.submit(0, [] {}), ContractViolation);
 }
 
 TEST(ShardedThreadPool, StealableTasksAllRunExactlyOnce) {
@@ -256,82 +265,86 @@ TEST(ShardedThreadPool, StealableTasksAllRunExactlyOnce) {
   // steals() would prove migration, but even without steals the contract
   // is exactly-once execution.
   for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit_stealable(0, [&counter] { ++counter; }));
+    futures.push_back(pool.submit(0, [&counter] { ++counter; }));
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(counter.load(), 64);
 }
 
+/// A pool task that signals when it starts and then holds its thread
+/// until released — occupies exactly one pool thread.
+struct Blocker {
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+
+  std::function<void()> task() {
+    return [this] {
+      started.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+    };
+  }
+  void wait_started() const {
+    while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+};
+
 TEST(ShardedThreadPool, IdleWorkersStealFromALoadedHome) {
   ShardedThreadPool pool(4);
+  // Occupy worker 0 with a blocker homed there. An idle sibling may steal
+  // the blocker before worker 0 wakes (steals() then moves); retry until
+  // the home worker itself is the one held.
+  auto blocker = std::make_unique<Blocker>();
+  std::future<void> held;
+  for (int attempt = 0;; ++attempt) {
+    ASSERT_LT(attempt, 100) << "blocker never ran on its home worker";
+    const std::uint64_t before = pool.steals();
+    held = pool.submit(0, blocker->task());
+    blocker->wait_started();
+    if (pool.steals() == before) break;
+    blocker->release.store(true, std::memory_order_release);
+    held.get();
+    blocker = std::make_unique<Blocker>();
+  }
+  const std::uint64_t steals_before = pool.steals();
+
+  // The home worker's backlog sits behind the blocker; the other
+  // three workers are idle and must drain it — the futures cannot
+  // complete while worker 0 is held otherwise, so completion is the proof.
   std::atomic<int> counter{0};
   std::vector<std::future<void>> futures;
-  // One slow pinned task occupies the home worker while its stealable
-  // backlog sits behind it; the other three workers are idle and must
-  // drain the backlog — the futures cannot all complete before the pinned
-  // sleeper otherwise, so the time bound is the proof.
-  const auto t0 = std::chrono::steady_clock::now();
-  auto pinned = pool.submit_to(0, [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  });
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit_stealable(0, [&counter] {
+    futures.push_back(pool.submit(0, [&counter] {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       ++counter;
     }));
   }
   for (auto& f : futures) f.get();
-  const auto stolen_done = std::chrono::steady_clock::now() - t0;
-  pinned.get();
   EXPECT_EQ(counter.load(), 32);
-  EXPECT_GE(pool.steals(), 1u);
-  EXPECT_LT(stolen_done, std::chrono::milliseconds(200))
-      << "stealable backlog waited for the busy home worker";
+  EXPECT_EQ(pool.steals() - steals_before, 32u);
+  blocker->release.store(true, std::memory_order_release);
+  held.get();
 }
 
 TEST(ShardedThreadPool, CallerCanRunStealableWork) {
   ShardedThreadPool pool(1);
   std::atomic<int> counter{0};
   std::vector<std::future<void>> futures;
-  // Block the only worker so the caller is the sole source of progress.
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit_to(0, [&release] {
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
+  // Hold the only worker so the caller is the sole source of progress.
+  Blocker blocker;
+  auto held = pool.submit(0, blocker.task());
+  blocker.wait_started();
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit_stealable(0, [&counter] { ++counter; }));
+    futures.push_back(pool.submit(0, [&counter] { ++counter; }));
   }
   while (counter.load() < 8) {
-    if (!pool.try_run_stealable()) std::this_thread::yield();
+    if (!pool.try_run_one()) std::this_thread::yield();
   }
-  EXPECT_FALSE(pool.try_run_stealable());  // queue is empty now
-  release.store(true, std::memory_order_release);
-  blocker.get();
+  EXPECT_FALSE(pool.try_run_one());  // queue is empty now
+  blocker.release.store(true, std::memory_order_release);
+  held.get();
   for (auto& f : futures) f.get();
   EXPECT_EQ(counter.load(), 8);
-  EXPECT_GE(pool.steals(), 8u);
-}
-
-TEST(ShardedThreadPool, PinnedTasksAreNeverStolen) {
-  ShardedThreadPool pool(4);
-  std::thread::id home_thread;
-  auto probe = pool.submit_to(2, [&home_thread] {
-    home_thread = std::this_thread::get_id();
-  });
-  probe.get();
-  std::vector<std::future<void>> futures;
-  std::atomic<int> misplaced{0};
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit_to(2, [&home_thread, &misplaced] {
-      if (std::this_thread::get_id() != home_thread) ++misplaced;
-    }));
-  }
-  // Give the other (idle) workers every chance to misbehave.
-  for (int i = 0; i < 100; ++i) pool.try_run_stealable();
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(misplaced.load(), 0);
+  EXPECT_EQ(pool.steals(), 8u);
 }
 
 TEST(Contracts, RequireThrowsContractViolation) {
