@@ -1,7 +1,7 @@
 // DurableScheduler: the durability tier's front door (DESIGN.md §9).
 //
-// Wraps any IReallocScheduler with write-ahead logging and — when the
-// inner scheduler is a ReservationScheduler — generation snapshots:
+// A single-machine ReservationScheduler with write-ahead logging and
+// generation snapshots:
 //
 //   * every insert/erase is assigned the next CSN and appended to the WAL
 //     *before* the inner scheduler sees it (write-ahead); frames are cut
@@ -22,46 +22,30 @@
 // (duplicate id on insert, non-live id on erase) never reach the log: the
 // record is buffered but not committed until the inner scheduler accepts
 // the request, and the inner scheduler's own precondition check throwing
-// rolls it back out of the frame buffer (generic mode additionally gates
-// on a mirrored live set, since an arbitrary inner scheduler's exception
-// guarantees are unknown).
+// rolls it back out of the frame buffer.
 //
-// Threading: single-caller discipline, like every scheduler here. For the
-// sharded service's per-shard logs see ShardedScheduler::Options::wal.
+// Threading: single-caller discipline, like every scheduler here. The
+// multi-machine durable path is ShardedScheduler with Options::wal (one
+// log, WAL-only, recovered through the same replay_wal routine).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
+#include "core/reservation_scheduler.hpp"
 #include "core/scheduler_options.hpp"
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
-#include "util/flat_hash.hpp"
 
-namespace reasched {
-
-class ReservationScheduler;
-
-namespace durability {
+namespace reasched::durability {
 
 class DurableScheduler final : public IReallocScheduler {
  public:
-  using Factory = std::function<std::unique_ptr<IReallocScheduler>()>;
-
-  /// Single-machine mode: recovers (or cold-starts) a ReservationScheduler
-  /// from `policy.dir` — snapshots + WAL suffix — and resumes logging.
-  /// The directory is created if missing.
+  /// Recovers (or cold-starts) a ReservationScheduler from `policy.dir` —
+  /// snapshots + WAL suffix — and resumes logging. The directory is
+  /// created if missing.
   explicit DurableScheduler(DurabilityPolicy policy, SchedulerOptions options = {});
-
-  /// Generic mode: the factory builds the inner scheduler (fresh), and
-  /// recovery replays the whole surviving WAL through it. If the factory
-  /// happens to produce a ReservationScheduler, snapshots work exactly as
-  /// in single-machine mode (detected at runtime); for anything else —
-  /// e.g. a MultiMachineScheduler pipeline via ReallocatingScheduler —
-  /// the tier is WAL-only and recovery cost grows with the log.
-  DurableScheduler(DurabilityPolicy policy, const Factory& factory);
 
   ~DurableScheduler() override;
 
@@ -90,35 +74,25 @@ class DurableScheduler final : public IReallocScheduler {
   }
   [[nodiscard]] const DurabilityPolicy& policy() const noexcept { return policy_; }
 
-  [[nodiscard]] IReallocScheduler& inner() noexcept { return *inner_; }
-  /// The inner ReservationScheduler, or nullptr in WAL-only generic mode.
-  [[nodiscard]] ReservationScheduler* reservation() noexcept { return reservation_; }
+  [[nodiscard]] ReservationScheduler& reservation() noexcept { return *inner_; }
 
   /// Flushes and fsyncs the log (everything logged so far is durable).
   void sync() { wal_.sync(); }
-  /// sync() + an immediate snapshot when snapshot-capable and quiescent.
-  /// Returns true when a snapshot was written.
+  /// sync() + an immediate snapshot when quiescent. Returns true when a
+  /// snapshot was written.
   bool checkpoint();
 
  private:
-  void seed_live_set();
   void maybe_snapshot(const RequestStats& stats);
   void write_snapshot_now();
 
   DurabilityPolicy policy_;
   RecoveryReport report_;
-  std::unique_ptr<IReallocScheduler> inner_;
-  ReservationScheduler* reservation_ = nullptr;
+  std::unique_ptr<ReservationScheduler> inner_;
   WalWriter wal_;
-  /// Live job ids — precondition gate in front of the log (see header
-  /// comment). Generic mode only: in reservation mode the inner
-  /// scheduler's own O(1) contains() answers, with no mirror to maintain
-  /// on the hot path. Seeded from the recovered schedule.
-  FlatHashSet<JobId> live_;
   std::uint64_t csn_ = 0;
   std::uint64_t snapshots_written_ = 0;
   bool snapshot_pending_ = false;
 };
 
-}  // namespace durability
-}  // namespace reasched
+}  // namespace reasched::durability

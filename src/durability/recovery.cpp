@@ -1,11 +1,6 @@
 #include "durability/recovery.hpp"
 
-#include <dirent.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
+#include <sys/stat.h>
 
 #include "core/reservation_scheduler.hpp"
 #include "durability/snapshot.hpp"
@@ -14,12 +9,31 @@
 
 namespace reasched::durability {
 
-void replay_records(IReallocScheduler& target, std::span<const WalRecord> records,
-                    std::uint64_t after_csn, RecoveryReport& report) {
+void replay_wal(const std::string& dir, IReallocScheduler& target,
+                RecoveryReport& report) {
+  // Every multi-shard service of the older per-shard layout wrote a
+  // wal-001.log; replaying wal-000.log alone would silently drop the
+  // acknowledged records it holds.
+  const std::string second = dir + "/wal-001.log";
+  struct stat st {};
+  if (::stat(second.c_str(), &st) == 0) {
+    throw CorruptInput("wal: " + second +
+                       " is a second log file; recovery replays only wal-000.log");
+  }
+  const std::string log = wal_path(dir);
+  const WalReadResult wal = read_wal(log);
+  if (wal.torn_tail) {
+    report.torn_tail = true;
+    truncate_wal(log, wal.valid_end);
+  }
+  // The snapshot may be *ahead* of the log's surviving prefix (snapshots
+  // are fsynced; with sync_every == 0 the log tail can be lost to a power
+  // cut). Replay then has nothing to do and the snapshot state stands.
+  const std::uint64_t after_csn = report.snapshot_csn;
   // Ids whose replayed insert was rejected: their erases must be skipped,
   // exactly like the batch API's "delete of a rejected insert is moot".
   FlatHashSet<JobId> rejected_ids;
-  for (const WalRecord& record : records) {
+  for (const WalRecord& record : wal.records) {
     if (record.csn <= after_csn) continue;
     RS_CHECK(record.csn > report.last_csn, "recovery: replay stream not ascending");
     report.last_csn = record.csn;
@@ -64,63 +78,8 @@ Recovery::Recovered Recovery::load(const DurabilityPolicy& policy,
     ++out.report.snapshots_skipped;
   }
   if (!out.scheduler) out.scheduler = std::make_unique<ReservationScheduler>(options);
-
-  const std::string log = wal_path(policy.dir, 0);
-  WalReadResult wal = read_wal(log);
-  if (wal.torn_tail) {
-    out.report.torn_tail = true;
-    truncate_wal(log, wal.valid_end);
-  }
-  // The snapshot may be *ahead* of the log's surviving prefix (snapshots
-  // are fsynced; with sync_every == 0 the log tail can be lost to a power
-  // cut). Replay then has nothing to do and the snapshot state stands.
-  replay_records(*out.scheduler, wal.records, out.report.snapshot_csn, out.report);
+  replay_wal(policy.dir, *out.scheduler, out.report);
   return out;
-}
-
-MergedWal merge_sharded_wal(const std::string& dir) {
-  MergedWal merged;
-  // Collect wal-*.log shard numbers.
-  std::vector<std::uint32_t> shards;
-  if (DIR* d = ::opendir(dir.c_str())) {
-    while (const dirent* entry = ::readdir(d)) {
-      unsigned shard = 0;
-      int consumed = 0;
-      if (std::sscanf(entry->d_name, "wal-%u.log%n", &shard, &consumed) == 1 &&
-          entry->d_name[consumed] == '\0') {
-        shards.push_back(shard);
-      }
-    }
-    ::closedir(d);
-  } else if (errno != ENOENT) {
-    RS_REQUIRE(false, "wal: cannot list " + dir + ": " + std::strerror(errno));
-  }
-  std::sort(shards.begin(), shards.end());
-
-  std::vector<WalRecord> all;
-  for (const std::uint32_t shard : shards) {
-    WalReadResult one = read_wal(wal_path(dir, shard));
-    if (one.missing) continue;
-    merged.shards.push_back(shard);
-    merged.valid_ends.push_back(one.valid_end);
-    merged.torn_tail = merged.torn_tail || one.torn_tail;
-    all.insert(all.end(), one.records.begin(), one.records.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](const WalRecord& a, const WalRecord& b) { return a.csn < b.csn; });
-
-  // Longest gap-free prefix starting at CSN 1: a record stranded beyond a
-  // gap belongs to a batch whose earlier requests never became durable on
-  // their shard, so the batch as a whole did not commit.
-  std::uint64_t expect = 1;
-  for (const WalRecord& record : all) {
-    if (record.csn != expect) break;
-    merged.records.push_back(record);
-    merged.last_csn = record.csn;
-    ++expect;
-  }
-  merged.dropped = all.size() - merged.records.size();
-  return merged;
 }
 
 }  // namespace reasched::durability

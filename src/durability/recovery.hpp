@@ -12,9 +12,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/scheduler_options.hpp"
 #include "durability/wal.hpp"
@@ -65,38 +63,19 @@ struct Recovery {
                                       const SchedulerOptions& options);
 };
 
-/// Replays the records with csn > after_csn through `target`'s normal
-/// request path, updating `report` (replayed / rejected_replays /
+/// The one recovery routine of every durable front end (DurableScheduler
+/// through Recovery::load, and the sharded service): reads `dir`'s log,
+/// truncates its torn tail so a writer can append, and replays every
+/// record with csn > report.snapshot_csn through `target`'s normal request
+/// path, updating `report` (torn_tail / replayed / rejected_replays /
 /// last_csn). Inserts that throw InfeasibleError are counted as rejected;
 /// erases of jobs whose insert was rejected are skipped — mirroring the
 /// batch API's rejection semantics, which is what the live process
-/// reported to its caller. Used by Recovery::load and by the WAL-only
-/// (sharded / multi-machine) recovery paths.
-void replay_records(IReallocScheduler& target, std::span<const WalRecord> records,
-                    std::uint64_t after_csn, RecoveryReport& report);
-
-/// The per-shard logs of a sharded service, merged back into one request
-/// stream ordered by CSN.
-struct MergedWal {
-  /// The longest gap-free CSN prefix across all shard logs, ascending.
-  std::vector<WalRecord> records;
-  /// Highest CSN in `records` (0 when empty).
-  std::uint64_t last_csn = 0;
-  /// Records beyond the first CSN gap, dropped (a lost shard frame strands
-  /// later requests on other shards — they never committed as a batch).
-  std::uint64_t dropped = 0;
-  /// Any shard log ended in a torn frame.
-  bool torn_tail = false;
-  /// Per shard file present on disk: shard number and the offset its log
-  /// must be truncated to before appending resumes (parallel vectors).
-  std::vector<std::uint32_t> shards;
-  std::vector<std::uint64_t> valid_ends;
-};
-
-/// Scans `dir` for wal-*.log files and merges them by CSN. Throws
-/// CorruptInput only for a garbled file header; torn tails degrade per
-/// shard. Does not truncate anything itself.
-[[nodiscard]] MergedWal merge_sharded_wal(const std::string& dir);
+/// reported to its caller. Throws CorruptInput, naming the file, when
+/// `dir` also holds a wal-001.log: an older multi-file layout whose
+/// acknowledged records this routine would never replay.
+void replay_wal(const std::string& dir, IReallocScheduler& target,
+                RecoveryReport& report);
 
 }  // namespace durability
 }  // namespace reasched

@@ -5,9 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <utility>
 
 #include "durability/crashpoint.hpp"
 #include "telemetry/registry.hpp"
@@ -71,11 +69,7 @@ WalRecord get_record(ByteSource& source) {
   return record;
 }
 
-std::string wal_path(const std::string& dir, std::uint32_t shard) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "wal-%03u.log", shard);
-  return dir + "/" + name;
-}
+std::string wal_path(const std::string& dir) { return dir + "/wal-000.log"; }
 
 void ensure_dir(const std::string& dir) {
   RS_REQUIRE(!dir.empty(), "durability: policy.dir must be set");
@@ -102,21 +96,7 @@ void WalWriter::reset_frame() {
   buffer_.u32(0);  // frame header slot: payload CRC32C, patched at flush
 }
 
-WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    policy_ = std::move(other.policy_);
-    buffer_ = std::move(other.buffer_);
-    buffered_records_ = std::exchange(other.buffered_records_, 0);
-    frames_since_sync_ = std::exchange(other.frames_since_sync_, 0);
-    stats_ = std::exchange(other.stats_, Stats{});
-  }
-  return *this;
-}
-
-void WalWriter::open(const std::string& path, const DurabilityPolicy& policy,
-                     std::uint32_t shard) {
+void WalWriter::open(const std::string& path, const DurabilityPolicy& policy) {
   close();
   policy_ = policy;
   reset_frame();
@@ -128,7 +108,7 @@ void WalWriter::open(const std::string& path, const DurabilityPolicy& policy,
     ByteSink header;
     header.byte_block(kMagic, sizeof(kMagic));
     header.u32(kVersion);
-    header.u32(shard);
+    header.u32(0);  // reserved, always 0
     write_all(header.bytes().data(), header.size());
     if (::fsync(fd_) != 0) throw_errno("wal: cannot sync", path);
   } else {

@@ -8,14 +8,13 @@
 // functions of the request stream, so replaying the requests through the
 // normal apply path reproduces the exact scheduler state (the same
 // determinism argument the partitioned-rebuild differential tests rest
-// on). Under the sharded service each shard appends to its own log file
-// and recovery merges the per-shard streams by CSN, taking the longest
-// gap-free prefix — the cross-shard ordering BatchResult::first_csn /
-// last_csn expose to callers.
+// on). Each durable front end — DurableScheduler or a sharded service,
+// whatever its shard count — appends to exactly one log, wal-000.log, in
+// CSN order, so the file order is the request order recovery replays.
 //
 // On-disk format. A log file is a 16-byte header
 //
-//   "RSWAL001" (8)  |  version u32  |  shard u32
+//   "RSWAL001" (8)  |  version u32  |  shard u32 (always 0, reserved)
 //
 // followed by frames, each
 //
@@ -91,22 +90,19 @@ struct WalRecord {
 void put_record(ByteSink& sink, const WalRecord& record);
 [[nodiscard]] WalRecord get_record(ByteSource& source);
 
-/// Append-side of one log file. Not thread-safe (per-shard discipline:
-/// exactly one writer per file).
+/// Append-side of one log file. Not thread-safe (exactly one writer per
+/// file, driven by its front end's caller thread).
 class WalWriter {
  public:
   WalWriter() = default;
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
-  WalWriter(WalWriter&& other) noexcept { *this = std::move(other); }
-  WalWriter& operator=(WalWriter&& other) noexcept;
 
   /// Creates the file (with header) or appends to an existing one after
   /// validating its header. Throws CorruptInput on a foreign/garbled
   /// header and ContractViolation on I/O errors.
-  void open(const std::string& path, const DurabilityPolicy& policy,
-            std::uint32_t shard = 0);
+  void open(const std::string& path, const DurabilityPolicy& policy);
   [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
 
   /// Buffers one record; cuts a frame at the policy's frame_bytes.
@@ -203,8 +199,8 @@ struct WalReadResult {
 /// append cleanly. No-op when the file is already that size.
 void truncate_wal(const std::string& path, std::uint64_t valid_end);
 
-/// Path of shard `shard`'s log file inside `dir` ("wal-000.log", ...).
-[[nodiscard]] std::string wal_path(const std::string& dir, std::uint32_t shard);
+/// Path of the log file inside `dir` ("wal-000.log").
+[[nodiscard]] std::string wal_path(const std::string& dir);
 
 /// mkdir -p: creates every missing component of `dir`.
 void ensure_dir(const std::string& dir);

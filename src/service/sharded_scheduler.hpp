@@ -91,15 +91,15 @@ class ShardedScheduler final : public IReallocScheduler {
     /// schedulers take the flag through their own SchedulerOptions.
     bool legacy_rehash = false;
     /// Durability tier (DESIGN.md §9): when set, every request is appended
-    /// write-ahead to one of `shards` per-shard log files in wal->dir
-    /// (routed by window stripe; CSNs are assigned globally on the caller
-    /// thread, so the merged streams order totally) and *construction is
-    /// recovery* — the surviving gap-free CSN prefix of the per-shard logs
-    /// is compacted and replayed through the sequential request path
-    /// before any new request is accepted. BatchResult::first_csn /
-    /// last_csn report each batch's CSN range. Snapshots are not taken at
-    /// this layer (per-machine generation boundaries are not service-wide
-    /// quiescent points); recovery cost grows with the log.
+    /// write-ahead, on the caller thread in request order, to the one log
+    /// wal->dir/wal-000.log (whatever the shard count), and *construction
+    /// is recovery* — the log's intact prefix is replayed through the
+    /// sequential request path (durability::replay_wal, the routine
+    /// DurableScheduler recovers through) before any new request is
+    /// accepted. BatchResult::first_csn / last_csn report each batch's CSN
+    /// range. Snapshots are not taken at this layer (per-machine
+    /// generation boundaries are not service-wide quiescent points);
+    /// recovery cost grows with the log.
     std::optional<durability::DurabilityPolicy> wal;
     /// Runtime gate for the telemetry tier (src/telemetry/, DESIGN.md §10):
     /// construction flips the process-wide recording switches (turn-on
@@ -163,8 +163,10 @@ class ShardedScheduler final : public IReallocScheduler {
   }
   /// CSN of the last logged request (0 when no WAL is attached).
   [[nodiscard]] std::uint64_t csn() const noexcept { return csn_; }
-  /// Flushes and fsyncs every shard log.
-  void sync_wal();
+  /// Flushes and fsyncs the log (no-op when no WAL is attached).
+  void sync_wal() {
+    if (wal_.is_open()) wal_.sync();
+  }
 
  private:
   /// One machine-level operation planned for a batch.
@@ -199,19 +201,14 @@ class ShardedScheduler final : public IReallocScheduler {
 
   enum Status : std::uint8_t { kServed = 0, kRejected = 1 };
 
-  /// Recovers from + resumes the per-shard logs (ctor tail when
-  /// Options::wal is set): merge by CSN, compact the gap-free prefix into
-  /// shard 0's log, replay it sequentially (logging suspended), open the
-  /// writers.
+  /// Recovers from + resumes the log (ctor tail when Options::wal is
+  /// set): replay it sequentially (logging suspended), open the writer.
   void init_wal(const durability::DurabilityPolicy& policy);
-  /// Appends one record to the shard log owning `window`, write-ahead on
-  /// the caller thread. No-op while logging is suspended (recovery replay,
-  /// sub-batch sequential re-run).
+  /// Appends one record to the log, write-ahead on the caller thread.
+  /// No-op while logging is suspended (recovery replay, sub-batch
+  /// sequential re-run).
   void log_insert(JobId id, Window window);
-  void log_erase(JobId id, Window window);
-  [[nodiscard]] unsigned wal_shard_of(Window window) const {
-    return static_cast<unsigned>(ledger_.stripe_of(window)) % shards_;
-  }
+  void log_erase(JobId id);
 
   std::size_t scan_subbatch(std::span<const Request> batch, std::size_t first,
                             std::vector<Resolved>& resolved,
@@ -238,8 +235,8 @@ class ShardedScheduler final : public IReallocScheduler {
   ShardedThreadPool pool_;
   std::string label_;
 
-  // Durability tier (empty/zero when Options::wal is unset).
-  std::vector<durability::WalWriter> wal_;  // one writer per shard
+  // Durability tier (closed/zero when Options::wal is unset).
+  durability::WalWriter wal_;
   durability::RecoveryReport recovery_report_{};
   std::uint64_t csn_ = 0;
   bool wal_logging_ = false;

@@ -155,13 +155,15 @@ void Scraper::stop() {
   }
   if (thread_.joinable()) thread_.join();
   if (listen_fd_ >= 0) {
-    // Unblocks the listener's accept() (returns with an error on Linux
-    // once the listening socket is shut down / closed).
+    // shutdown() wakes the listener's blocked accept() (it fails on Linux
+    // once the listening socket is shut down). Close only after the join:
+    // serve() reads listen_fd_ until it returns, and a closed descriptor
+    // number could be reused under a still-blocked accept().
     ::shutdown(listen_fd_, SHUT_RDWR);
+    if (listener_.joinable()) listener_.join();
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (listener_.joinable()) listener_.join();
   // Final scrape: the sum of emitted deltas equals the cumulative totals.
   if (!already) scrape();
 }

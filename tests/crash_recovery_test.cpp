@@ -159,11 +159,10 @@ void verify_recovery(const std::string& dir, const std::vector<Request>& trace,
   for (std::uint64_t i = 0; i < cut; ++i) serve_tolerant(twin, trace[i]);
 
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), where);
-  ASSERT_NE(recovered.reservation(), nullptr) << where;
-  EXPECT_EQ(twin.n_star(), recovered.reservation()->n_star()) << where;
-  EXPECT_EQ(twin.parked_jobs(), recovered.reservation()->parked_jobs()) << where;
+  EXPECT_EQ(twin.n_star(), recovered.reservation().n_star()) << where;
+  EXPECT_EQ(twin.parked_jobs(), recovered.reservation().parked_jobs()) << where;
   EXPECT_EQ(twin.active_jobs(), recovered.active_jobs()) << where;
-  recovered.reservation()->audit();
+  recovered.reservation().audit();
 
   for (std::uint64_t i = cut; i < trace.size(); ++i) {
     serve_tolerant(twin, trace[i]);
@@ -171,7 +170,7 @@ void verify_recovery(const std::string& dir, const std::vector<Request>& trace,
   }
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(),
                              where + " (post-crash suffix)");
-  recovered.reservation()->audit();
+  recovered.reservation().audit();
 }
 
 constexpr const char* kSites[] = {"wal.frame", "snapshot.mid", "snapshot.rename",
@@ -193,6 +192,123 @@ void kill_and_recover(std::uint64_t seed, const char* site) {
                             " countdown=" + std::to_string(countdown) +
                             (crashed ? "" : " (ran to completion)");
   verify_recovery(dir.path, trace, where);
+}
+
+/// Sharded service tier: kill a 4-shard service mid-frame while batched
+/// applies append to its one log; construction-is-recovery must converge
+/// to the log's intact prefix, pass the balance audit, match an unsharded
+/// twin fed that prefix, and then keep matching it while both serve the
+/// rest of the trace.
+void sharded_kill_and_recover(std::uint64_t seed) {
+  TempDir dir;
+  ChurnParams params;
+  params.seed = seed;
+  params.requests = 2'000;
+  params.target_active = 512;
+  params.machines = 8;
+  params.min_span = 64;
+  params.max_span = 2048;
+  const std::vector<Request> trace = make_churn_trace(params);
+  const std::string where = "sharded seed=" + std::to_string(seed);
+
+  const SchedulerOptions machine_options = base_options();
+  const auto factory = [&] {
+    return std::make_unique<ReservationScheduler>(machine_options);
+  };
+  ShardedScheduler::Options options;
+  options.shards = 4;
+  options.wal = DurabilityPolicy{};
+  options.wal->dir = dir.path;
+  options.wal->frame_bytes = 256;
+  options.wal->sync_every = 1;
+  constexpr std::size_t kBatch = 64;
+
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    try {
+      CrashPoint::arm("wal.frame", 20 + seed * 7);
+      ShardedScheduler sharded(8, factory, options);
+      for (std::size_t i = 0; i < trace.size(); i += kBatch) {
+        const std::size_t n = std::min(kBatch, trace.size() - i);
+        sharded.apply({trace.data() + i, n});
+      }
+      sharded.sync_wal();
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), CrashPoint::kExitStatus)
+      << where << ": child exit " << WEXITSTATUS(status);
+
+  // Construction is recovery. The recovered cut is the last intact frame
+  // of the one log; requests at CSN > cut were lost with the crash,
+  // exactly as if they had never been acknowledged.
+  ShardedScheduler recovered(8, factory, options);
+  const std::uint64_t cut = recovered.csn();
+  ASSERT_GT(cut, 0u) << where;
+  EXPECT_TRUE(recovered.recovery_report().torn_tail) << where;
+  recovered.audit_balance();
+
+  // Twin: drive the surviving prefix through an *unsharded* scheduler of
+  // the same machine count — the sharded tier's contract is that
+  // sharding (and now crash recovery) never changes the schedule. Mirror
+  // the service tier's precondition filter: requests it rejected before
+  // logging consumed no CSN.
+  ReallocatingScheduler twin(8, machine_options);
+  std::unordered_map<JobId, Window> live;
+  const auto takes_csn = [&](const Request& r) {
+    return r.kind == RequestKind::kInsert ? !live.contains(r.job) : live.contains(r.job);
+  };
+  const auto serve_twin = [&](const Request& r) {
+    if (r.kind == RequestKind::kInsert) {
+      try {
+        twin.insert(r.job, r.window);
+        live.emplace(r.job, r.window);
+      } catch (const InfeasibleError&) {
+      }
+    } else {
+      twin.erase(r.job);
+      live.erase(r.job);
+    }
+  };
+  std::uint64_t csn = 0;
+  std::size_t rest = 0;
+  for (; rest < trace.size(); ++rest) {
+    if (!takes_csn(trace[rest])) continue;
+    if (csn == cut) break;
+    ++csn;
+    serve_twin(trace[rest]);
+  }
+  expect_identical_schedules(twin.snapshot(), recovered.snapshot(), where);
+
+  // Both serve the rest of the trace in lockstep — the recovered service
+  // in batches, logging again — and must still agree.
+  for (std::size_t i = rest; i < trace.size(); i += kBatch) {
+    const std::size_t n = std::min(kBatch, trace.size() - i);
+    recovered.apply({trace.data() + i, n});
+    for (std::size_t j = i; j < i + n; ++j) {
+      if (!takes_csn(trace[j])) continue;
+      ++csn;
+      serve_twin(trace[j]);
+    }
+  }
+  EXPECT_EQ(recovered.csn(), csn) << where;
+  expect_identical_schedules(twin.snapshot(), recovered.snapshot(),
+                             where + " (post-crash suffix)");
+  recovered.audit_balance();
+
+  // The resumed log extends the recovered prefix (the torn tail was
+  // truncated before appending resumed), so a second recovery replays
+  // every request served before and after the crash.
+  recovered.sync_wal();
+  ShardedScheduler again(8, factory, options);
+  EXPECT_EQ(again.csn(), csn) << where;
+  expect_identical_schedules(twin.snapshot(), again.snapshot(),
+                             where + " (second recovery)");
 }
 
 // ---------------------------------------------------------- fast PR gate
@@ -223,6 +339,9 @@ TEST(CrashRecoveryFast, CrashDuringRecovery) {
   verify_recovery(dir.path, trace, "double crash");
 }
 
+// One seed of the sharded kill case (the matrix runs three).
+TEST(CrashRecoveryFast, ShardedKillMidBatch) { sharded_kill_and_recover(5); }
+
 // ------------------------------------------------------- full kill matrix
 
 // >= 32 seeds x 4 kill sites, randomized countdowns. Slow lane only.
@@ -235,87 +354,10 @@ TEST(CrashRecoveryMatrix, KillAtRandomPoints) {
   }
 }
 
-// Sharded service tier: kill mid-frame while per-shard logs are being
-// written from batched applies; construction-is-recovery must converge to
-// the gap-free CSN prefix and pass the balance audit.
 TEST(CrashRecoveryMatrix, ShardedKillMidBatch) {
   for (std::uint64_t seed : {5u, 6u, 7u}) {
-    TempDir dir;
-    ChurnParams params;
-    params.seed = seed;
-    params.requests = 2'000;
-    params.target_active = 512;
-    params.machines = 8;
-    params.min_span = 64;
-    params.max_span = 2048;
-    const std::vector<Request> trace = make_churn_trace(params);
-
-    const SchedulerOptions machine_options = base_options();
-    const auto factory = [&] {
-      return std::make_unique<ReservationScheduler>(machine_options);
-    };
-    ShardedScheduler::Options options;
-    options.shards = 4;
-    options.wal = DurabilityPolicy{};
-    options.wal->dir = dir.path;
-    options.wal->frame_bytes = 256;
-    options.wal->sync_every = 1;
-
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      try {
-        CrashPoint::arm("wal.frame", 20 + seed * 7);
-        ShardedScheduler sharded(8, factory, options);
-        for (std::size_t i = 0; i < trace.size(); i += 64) {
-          const std::size_t n = std::min<std::size_t>(64, trace.size() - i);
-          sharded.apply({trace.data() + i, n});
-        }
-        sharded.sync_wal();
-      } catch (...) {
-        ::_exit(1);
-      }
-      ::_exit(0);
-    }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    ASSERT_EQ(WEXITSTATUS(status), CrashPoint::kExitStatus)
-        << "seed " << seed << ": child exit " << WEXITSTATUS(status);
-
-    // Construction is recovery. The recovered cut is the longest gap-free
-    // CSN prefix; requests at CSN > cut were lost with the crash, exactly
-    // as if they had never been acknowledged.
-    ShardedScheduler recovered(8, factory, options);
-    const std::uint64_t cut = recovered.csn();
-    ASSERT_GT(cut, 0u) << "seed " << seed;
-    recovered.audit_balance();
-
-    // Twin: drive the surviving prefix through an *unsharded* scheduler of
-    // the same machine count — the sharded tier's contract is that
-    // sharding (and now crash recovery) never changes the schedule.
-    ReallocatingScheduler twin(8, machine_options);
-    std::unordered_map<JobId, Window> live;
-    std::uint64_t csn = 0;
-    for (const Request& r : trace) {
-      // Mirror the service tier's precondition filter: requests it
-      // rejected before logging consumed no CSN.
-      if (r.kind == RequestKind::kInsert) {
-        if (live.contains(r.job)) continue;
-        if (++csn > cut) break;
-        try {
-          twin.insert(r.job, r.window);
-          live.emplace(r.job, r.window);
-        } catch (const InfeasibleError&) {
-        }
-      } else {
-        if (!live.contains(r.job)) continue;
-        if (++csn > cut) break;
-        twin.erase(r.job);
-        live.erase(r.job);
-      }
-    }
-    expect_identical_schedules(twin.snapshot(), recovered.snapshot(),
-                               "sharded seed=" + std::to_string(seed));
+    sharded_kill_and_recover(seed);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

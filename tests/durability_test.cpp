@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -18,7 +19,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/reallocating_scheduler.hpp"
 #include "core/reservation_scheduler.hpp"
 #include "durability/durable_scheduler.hpp"
 #include "durability/recovery.hpp"
@@ -242,7 +242,7 @@ std::vector<WalRecord> sample_records(std::size_t count) {
 
 TEST(Wal, RoundTripAcrossFramesAndReopen) {
   TempDir dir;
-  const std::string path = durability::wal_path(dir.path, 0);
+  const std::string path = durability::wal_path(dir.path);
   DurabilityPolicy policy;
   policy.dir = dir.path;
   policy.frame_bytes = 128;  // force many frames
@@ -274,7 +274,7 @@ TEST(Wal, RoundTripAcrossFramesAndReopen) {
 
 TEST(Wal, TornTailIsTruncatedAndAppendResumes) {
   TempDir dir;
-  const std::string path = durability::wal_path(dir.path, 0);
+  const std::string path = durability::wal_path(dir.path);
   DurabilityPolicy policy;
   policy.dir = dir.path;
   policy.frame_bytes = 64;
@@ -313,7 +313,7 @@ TEST(Wal, TornTailIsTruncatedAndAppendResumes) {
 
 TEST(Wal, CorruptPayloadByteStopsAtThatFrame) {
   TempDir dir;
-  const std::string path = durability::wal_path(dir.path, 0);
+  const std::string path = durability::wal_path(dir.path);
   DurabilityPolicy policy;
   policy.dir = dir.path;
   policy.frame_bytes = 64;
@@ -710,8 +710,7 @@ TEST(Recovery, WalOnlyReplayMatchesTwin) {
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "wal-only");
-  ASSERT_NE(recovered.reservation(), nullptr);
-  recovered.reservation()->audit();
+  recovered.reservation().audit();
 }
 
 TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
@@ -737,8 +736,8 @@ TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
   ReservationScheduler twin(options);
   for (const Request& r : trace) serve(twin, r);
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "snap+suffix");
-  EXPECT_EQ(twin.n_star(), recovered.reservation()->n_star());
-  EXPECT_EQ(twin.parked_jobs(), recovered.reservation()->parked_jobs());
+  EXPECT_EQ(twin.n_star(), recovered.reservation().n_star());
+  EXPECT_EQ(twin.parked_jobs(), recovered.reservation().parked_jobs());
 
   // Keep running BOTH — the recovered instance and the twin must stay in
   // lockstep on a fresh suffix (and keep logging: a second recovery works).
@@ -752,7 +751,7 @@ TEST(Recovery, SnapshotPlusSuffixMatchesTwinAndContinues) {
     }
   }
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "post-continue");
-  recovered.reservation()->audit();
+  recovered.reservation().audit();
 }
 
 // Damages the newest of several snapshots, then recovers: the damaged one
@@ -817,8 +816,7 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
     durable.sync();
   }
   DurableScheduler recovered(policy, options);
-  ASSERT_NE(recovered.reservation(), nullptr);
-  ReservationScheduler& rs = *recovered.reservation();
+  ReservationScheduler& rs = recovered.reservation();
 
   // The loader escalated via mark_all: the first incremental audit after
   // recovery is a full sweep that reseeds the dirty-tracking shadows.
@@ -840,55 +838,17 @@ TEST(Recovery, AuditEngineReseedsAfterRecovery) {
   rs.audit();  // and the full sweep agrees
 }
 
-// --------------------------------------------------------- generic wrapper
-
-TEST(Recovery, GenericFactoryModeIsWalOnly) {
-  TempDir dir;
-  DurabilityPolicy policy;
-  policy.dir = dir.path;
-  const auto factory = [] {
-    return std::make_unique<ReallocatingScheduler>(2, SchedulerOptions{
-                                                          .overflow =
-                                                              OverflowPolicy::kBestEffort,
-                                                      });
-  };
-  ChurnParams params;
-  params.seed = 29;
-  params.requests = 1'500;
-  params.target_active = 256;
-  params.machines = 2;
-  params.min_span = 64;
-  params.max_span = 2048;
-  const std::vector<Request> trace = make_churn_trace(params);
-  {
-    DurableScheduler durable(policy, factory);
-    EXPECT_EQ(durable.reservation(), nullptr);  // multi-machine: WAL-only
-    EXPECT_EQ(durable.machines(), 2u);
-    for (const Request& r : trace) serve(durable, r);
-    durable.sync();
-    EXPECT_EQ(durable.snapshots_written(), 0u);
-  }
-  DurableScheduler recovered(policy, factory);
-  EXPECT_EQ(recovered.recovery_report().replayed, trace.size());
-
-  auto twin = factory();
-  for (const Request& r : trace) serve(*twin, r);
-  expect_identical_schedules(twin->snapshot(), recovered.snapshot(), "generic");
-}
-
 // ------------------------------------------------------------ sharded WAL
 
-TEST(Recovery, ShardedPerShardLogsMergeByCsn) {
-  TempDir dir;
-  const SchedulerOptions machine_options = base_options();
+ShardedScheduler::Options sharded_wal_options(const std::string& dir) {
   ShardedScheduler::Options options;
   options.shards = 4;
   options.wal = DurabilityPolicy{};
-  options.wal->dir = dir.path;
-  const auto factory = [&] {
-    return std::make_unique<ReservationScheduler>(machine_options);
-  };
+  options.wal->dir = dir;
+  return options;
+}
 
+std::vector<Request> sharded_trace() {
   ChurnParams params;
   params.seed = 31;
   params.requests = 2'000;
@@ -896,33 +856,56 @@ TEST(Recovery, ShardedPerShardLogsMergeByCsn) {
   params.machines = 8;
   params.min_span = 64;
   params.max_span = 2048;
-  const std::vector<Request> trace = make_churn_trace(params);
+  return make_churn_trace(params);
+}
 
-  BatchResult last;
+std::vector<std::string> wal_files(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("wal-") && name.ends_with(".log")) names.push_back(name);
+  }
+  return names;
+}
+
+TEST(Recovery, ShardedServiceWritesOneLog) {
+  TempDir dir;
+  const SchedulerOptions machine_options = base_options();
+  const ShardedScheduler::Options options = sharded_wal_options(dir.path);
+  const auto factory = [&] {
+    return std::make_unique<ReservationScheduler>(machine_options);
+  };
+  const std::vector<Request> trace = sharded_trace();
+
   {
     ShardedScheduler sharded(8, factory, options);
     // Batched feeding: CSNs must come back dense across batches.
     std::uint64_t expect_csn = 1;
     for (std::size_t i = 0; i < trace.size(); i += 64) {
       const std::size_t n = std::min<std::size_t>(64, trace.size() - i);
-      last = sharded.apply({trace.data() + i, n});
-      if (last.first_csn != 0) {
-        EXPECT_EQ(last.first_csn, expect_csn);
-        expect_csn = last.last_csn + 1;
+      const BatchResult result = sharded.apply({trace.data() + i, n});
+      if (result.first_csn != 0) {
+        EXPECT_EQ(result.first_csn, expect_csn);
+        expect_csn = result.last_csn + 1;
       }
     }
     sharded.sync_wal();
     EXPECT_GT(sharded.csn(), 0u);
-    // Several shard files actually exist.
-    const durability::MergedWal merged = durability::merge_sharded_wal(dir.path);
-    EXPECT_GT(merged.shards.size(), 1u);
-    EXPECT_EQ(merged.last_csn, sharded.csn());
-    EXPECT_EQ(merged.dropped, 0u);
+    EXPECT_EQ(expect_csn, sharded.csn() + 1);
+    // Four shards, one log, holding CSNs 1..csn() ascending in file order.
+    EXPECT_EQ(wal_files(dir.path), std::vector<std::string>{"wal-000.log"});
+    const WalReadResult wal = durability::read_wal(durability::wal_path(dir.path));
+    EXPECT_FALSE(wal.torn_tail);
+    ASSERT_EQ(wal.records.size(), sharded.csn());
+    for (std::size_t i = 0; i < wal.records.size(); ++i) {
+      ASSERT_EQ(wal.records[i].csn, i + 1);
+    }
   }
 
-  // Construction is recovery: the per-shard logs replay to the same state.
+  // Construction is recovery: the one log replays to the same state.
   ShardedScheduler recovered(8, factory, options);
-  EXPECT_GT(recovered.recovery_report().replayed, 0u);
+  EXPECT_EQ(recovered.recovery_report().replayed, recovered.csn());
+  EXPECT_GT(recovered.csn(), 0u);
   recovered.audit_balance();
 
   ShardedScheduler::Options no_wal;
@@ -934,6 +917,38 @@ TEST(Recovery, ShardedPerShardLogsMergeByCsn) {
   }
   expect_identical_schedules(twin.snapshot(), recovered.snapshot(), "sharded");
   EXPECT_EQ(twin.active_jobs(), recovered.active_jobs());
+}
+
+TEST(Recovery, SecondLogFileIsRefusedNotDropped) {
+  // A directory written by the older per-shard layout holds acknowledged
+  // records in wal-001.log that recovery from wal-000.log alone would
+  // silently drop: both durable front ends refuse it and name the file.
+  TempDir dir;
+  const SchedulerOptions machine_options = base_options();
+  const auto factory = [&] {
+    return std::make_unique<ReservationScheduler>(machine_options);
+  };
+  {
+    ShardedScheduler sharded(8, factory, sharded_wal_options(dir.path));
+    const std::vector<Request> trace = sharded_trace();
+    sharded.apply({trace.data(), 256});
+    sharded.sync_wal();
+  }
+  std::filesystem::copy_file(durability::wal_path(dir.path), dir.path + "/wal-001.log");
+
+  const auto expect_refused = [&](const std::function<void()>& construct) {
+    try {
+      construct();
+      ADD_FAILURE() << "recovery accepted a directory holding wal-001.log";
+    } catch (const durability::CorruptInput& error) {
+      EXPECT_NE(std::string(error.what()).find("wal-001.log"), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_refused([&] { ShardedScheduler refused(8, factory, sharded_wal_options(dir.path)); });
+  DurabilityPolicy policy;
+  policy.dir = dir.path;
+  expect_refused([&] { DurableScheduler refused(policy, machine_options); });
 }
 
 // ------------------------------------------------------------ trace format
@@ -970,7 +985,7 @@ TEST(TraceWal, WalFileDoublesAsTrace) {
     durable.sync();
   }
   const std::vector<Request> replayed =
-      read_trace_wal(durability::wal_path(dir.path, 0));
+      read_trace_wal(durability::wal_path(dir.path));
   ASSERT_EQ(replayed.size(), trace.size());
 
   ReservationScheduler a(options);
